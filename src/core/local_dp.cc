@@ -12,6 +12,7 @@
 #endif
 
 #include "common/thread_pool.h"
+#include "core/pair_kernel.h"
 #include "dataset/kdtree.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -116,6 +117,80 @@ void ForEachIndex(size_t n, bool parallel,
     for (size_t k = 0; k < n; ++k) body(k);
   }
 }
+
+// Indices per parallel block of the pairwise paths: enough rows (or ranks)
+// per block to keep every kernel lane busy, few enough to balance.
+constexpr size_t kParallelGrain = 32;
+
+// Runs body(begin, end) over [0, n): one block when sequential, else blocks
+// of kParallelGrain indices on the shared pool. Each block owns its indices,
+// so bodies may write per-index state without synchronization.
+void ForEachBlock(size_t n, bool parallel,
+                  const std::function<void(size_t, size_t)>& body) {
+  if (n == 0) return;
+  if (!parallel || n <= kParallelGrain) {
+    body(0, n);
+    return;
+  }
+  const size_t blocks = (n + kParallelGrain - 1) / kParallelGrain;
+  SharedKernelPool()->ParallelFor(blocks, [&](size_t b) {
+    body(b * kParallelGrain, std::min(n, (b + 1) * kParallelGrain));
+  });
+}
+
+// The (row, column) positions of one queued pair, e.g. (i, j) for a group's
+// half loop or (query, candidate) for a cross pass.
+struct PairTag {
+  size_t i;
+  size_t j;
+};
+
+// A private queue of up to kPairLanes pending pairs. Push() queues the rows
+// of one pair with its tag; once every lane is taken, one kernel call
+// evaluates them all and apply(tag, d_sq) runs for each pair in push order,
+// so every accumulation order and Improve() tie-break is that of a
+// one-pair-at-a-time loop. Pairs, not rows, fill the lanes: callers push
+// across row boundaries, which keeps the lanes full on small groups.
+// Evaluations are counted once per batch. Finish() evaluates the last
+// partial batch and must run before the caller reads what apply writes.
+template <typename Apply>
+class PairQueue {
+ public:
+  PairQueue(size_t dim, const CountingMetric& metric, Apply apply)
+      : dim_(dim),
+        metric_(metric),
+        apply_(std::move(apply)),
+        kernel_(internal::SelectedPairLaneKernel()) {}
+
+  void Push(const double* a, const double* b, PairTag tag) {
+    a_[size_] = a;
+    b_[size_] = b;
+    tags_[size_] = tag;
+    if (++size_ == internal::kPairLanes) Drain();
+  }
+
+  void Finish() {
+    if (size_ > 0) Drain();
+  }
+
+ private:
+  void Drain() {
+    double d_sq[internal::kPairLanes];
+    kernel_(a_, b_, size_, dim_, d_sq);
+    metric_.AddEvaluations(size_);
+    for (size_t k = 0; k < size_; ++k) apply_(tags_[k], d_sq[k]);
+    size_ = 0;
+  }
+
+  size_t dim_;
+  CountingMetric metric_;
+  Apply apply_;
+  internal::PairLaneKernel kernel_;
+  size_t size_ = 0;
+  const double* a_[internal::kPairLanes] = {};
+  const double* b_[internal::kPairLanes] = {};
+  PairTag tags_[internal::kPairLanes] = {};
+};
 
 // Pivot projections for the triangle-inequality filter: distances from every
 // group member to the group centroid. |proj_i - proj_j| <= d_ij for any
@@ -241,91 +316,41 @@ std::vector<uint32_t> LocalDpEngine::Rho(const LocalPointView& view, double dc,
       });
       break;
     }
-    case LocalDpBackend::kTriangleFilter: {
-      std::vector<double> proj = CentroidProjections(view, metric);
-      if (parallel) {
-        // Full-row scans: each point accumulates its own row (ascending
-        // position order), so rows are independent and bit-identical to the
-        // sequential half-loop. Each surviving pair is evaluated from both
-        // sides.
-        ForEachIndex(n, true, [&](size_t k) {
-          std::span<const double> pk = view.point(k);
-          double s = 0.0;
-          uint32_t count = 0;
-          for (size_t j = 0; j < n; ++j) {
-            if (j == k || std::abs(proj[k] - proj[j]) >= reach) continue;
-            double d_sq = metric.SquaredDistance(pk, view.point(j));
-            if (gaussian) {
-              s += GaussianKernelContributionSq(d_sq, dc);
-            } else if (d_sq < dc_sq) {
-              ++count;
-            }
-          }
-          if (gaussian) {
-            soft[k] = s;
-          } else {
-            rho[k] = count;
-          }
-        });
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          std::span<const double> pi = view.point(i);
-          for (size_t j = i + 1; j < n; ++j) {
-            if (std::abs(proj[i] - proj[j]) >= reach) {
-              continue;  // lower bound proves the pair contributes nothing
-            }
-            double d_sq = metric.SquaredDistance(pi, view.point(j));
-            if (gaussian) {
-              double w = GaussianKernelContributionSq(d_sq, dc);
-              soft[i] += w;
-              soft[j] += w;
-            } else if (d_sq < dc_sq) {
-              ++rho[i];
-              ++rho[j];
-            }
-          }
-        }
-      }
-      break;
-    }
+    case LocalDpBackend::kTriangleFilter:
     case LocalDpBackend::kAuto:  // Resolve never returns kAuto
     case LocalDpBackend::kBruteForce: {
-      if (parallel) {
-        ForEachIndex(n, true, [&](size_t k) {
-          std::span<const double> pk = view.point(k);
-          double s = 0.0;
-          uint32_t count = 0;
-          for (size_t j = 0; j < n; ++j) {
-            if (j == k) continue;
-            double d_sq = metric.SquaredDistance(pk, view.point(j));
-            if (gaussian) {
-              s += GaussianKernelContributionSq(d_sq, dc);
-            } else if (d_sq < dc_sq) {
-              ++count;
-            }
-          }
-          if (gaussian) {
-            soft[k] = s;
-          } else {
-            rho[k] = count;
-          }
-        });
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          std::span<const double> pi = view.point(i);
-          for (size_t j = i + 1; j < n; ++j) {
-            double d_sq = metric.SquaredDistance(pi, view.point(j));
-            if (gaussian) {
-              double w = GaussianKernelContributionSq(d_sq, dc);
-              soft[i] += w;
-              soft[j] += w;
-            } else if (d_sq < dc_sq) {
-              ++rho[i];
-              ++rho[j];
-            }
+      // The triangle filter skips pairs whose projection gap proves they
+      // contribute nothing; brute force evaluates every pair.
+      const bool triangle = backend == LocalDpBackend::kTriangleFilter;
+      std::vector<double> proj;
+      if (triangle) proj = CentroidProjections(view, metric);
+      auto skip = [&](size_t i, size_t j) {
+        return triangle && std::abs(proj[i] - proj[j]) >= reach;
+      };
+      // Sequential: the half loop, each pair's contribution going to both
+      // sides. Parallel: full-row scans, each block accumulating only its
+      // own rows (ascending position order, so bit-identical to the half
+      // loop) and each surviving pair evaluated from both sides.
+      auto apply = [&](PairTag p, double d_sq) {
+        if (gaussian) {
+          const double w = GaussianKernelContributionSq(d_sq, dc);
+          soft[p.i] += w;
+          if (!parallel) soft[p.j] += w;
+        } else if (d_sq < dc_sq) {
+          ++rho[p.i];
+          if (!parallel) ++rho[p.j];
+        }
+      };
+      const double* const* rows = view.rows().data();
+      ForEachBlock(n, parallel, [&](size_t begin, size_t end) {
+        PairQueue queue(view.dim(), metric, apply);
+        for (size_t i = begin; i < end; ++i) {
+          for (size_t j = parallel ? 0 : i + 1; j < n; ++j) {
+            if (j != i && !skip(i, j)) queue.Push(rows[i], rows[j], {i, j});
           }
         }
-      }
+        queue.Finish();
+      });
       break;
     }
   }
@@ -360,12 +385,7 @@ LocalDeltaScores LocalDpEngine::Delta(const LocalPointView& view,
 
   const bool parallel = options_.parallel_min_group > 0 &&
                         n >= options_.parallel_min_group;
-  auto commit = [&](size_t k, const LocalDeltaBest& best) {
-    if (best.upslope == kInvalidPointId) return;
-    out.delta_sq[k] = best.d_sq;
-    out.delta[k] = best.Delta();
-    out.upslope[k] = best.upslope;
-  };
+  std::vector<LocalDeltaBest> best(n);  // by group position
 
   switch (backend) {
     case LocalDpBackend::kKdTree: {
@@ -381,49 +401,91 @@ LocalDeltaScores LocalDpEngine::Delta(const LocalPointView& view,
             [&](PointId pos) {
               return DenserThan(rho[pos], view.id(pos), rho_k, id_k);
             });
-        LocalDeltaBest best;
         if (res.index != kInvalidPointId) {
-          best.d_sq = res.distance_sq;
-          best.upslope = res.tie_id;
+          best[k].d_sq = res.distance_sq;
+          best[k].upslope = res.tie_id;
         }
-        commit(k, best);
       });
       break;
     }
     case LocalDpBackend::kTriangleFilter: {
+      // The filter reads each query's running minimum, so one query's
+      // survivors cannot be queued ahead of its own results. Instead each
+      // lane holds a different query (rank): every lane advances to its
+      // query's next surviving candidate, the lanes are evaluated together,
+      // and each query sees exactly its one-at-a-time candidate sequence.
+      // A lane whose query runs out of candidates takes the next rank.
       std::vector<double> proj = CentroidProjections(view, metric);
-      ForEachIndex(n - 1, parallel, [&](size_t r1) {
-        const size_t r = r1 + 1;
-        const size_t k = order[r];
-        std::span<const double> pk = view.point(k);
-        LocalDeltaBest best;
-        for (size_t s = 0; s < r; ++s) {
-          size_t l = order[s];
-          double gap = std::abs(proj[k] - proj[l]);
-          if (gap * gap > best.d_sq) {
-            continue;  // cannot improve on the current minimum
-          }
-          best.Improve(metric.SquaredDistance(pk, view.point(l)), view.id(l));
+      const internal::PairLaneKernel kernel =
+          internal::SelectedPairLaneKernel();
+      const double* const* rows = view.rows().data();
+      ForEachBlock(n - 1, parallel, [&](size_t begin, size_t end) {
+        struct Lane {
+          size_t r;  // the query's rank; candidates are ranks [0, r)
+          size_t s;  // next candidate rank
+        };
+        Lane lanes[internal::kPairLanes];
+        const double* a[internal::kPairLanes];
+        const double* b[internal::kPairLanes];
+        double d_sq[internal::kPairLanes];
+        size_t live = 0;
+        size_t next = begin + 1;  // ranks [begin + 1, end + 1)
+        while (live < internal::kPairLanes && next <= end) {
+          lanes[live++] = {next++, 0};
         }
-        commit(k, best);
+        // Advances a lane to its query's next survivor; false when none.
+        auto advance = [&](Lane& lane) {
+          const size_t k = order[lane.r];
+          for (; lane.s < lane.r; ++lane.s) {
+            const double gap = std::abs(proj[k] - proj[order[lane.s]]);
+            if (gap * gap <= best[k].d_sq) return true;
+          }
+          return false;
+        };
+        for (;;) {
+          for (size_t w = 0; w < live;) {
+            if (!advance(lanes[w])) {
+              lanes[w] = next <= end ? Lane{next++, 0} : lanes[--live];
+              continue;
+            }
+            a[w] = rows[order[lanes[w].r]];
+            b[w] = rows[order[lanes[w].s]];
+            ++w;
+          }
+          if (live == 0) break;
+          kernel(a, b, live, view.dim(), d_sq);
+          metric.AddEvaluations(live);
+          for (size_t w = 0; w < live; ++w) {
+            const size_t l = order[lanes[w].s++];
+            best[order[lanes[w].r]].Improve(d_sq[w], view.id(l));
+          }
+        }
       });
       break;
     }
     case LocalDpBackend::kAuto:  // Resolve never returns kAuto
     case LocalDpBackend::kBruteForce: {
-      ForEachIndex(n - 1, parallel, [&](size_t r1) {
-        const size_t r = r1 + 1;
-        const size_t k = order[r];
-        std::span<const double> pk = view.point(k);
-        LocalDeltaBest best;
-        for (size_t s = 0; s < r; ++s) {
-          size_t l = order[s];
-          best.Improve(metric.SquaredDistance(pk, view.point(l)), view.id(l));
+      const double* const* rows = view.rows().data();
+      ForEachBlock(n - 1, parallel, [&](size_t begin, size_t end) {
+        PairQueue queue(view.dim(), metric, [&](PairTag p, double d_sq) {
+          best[p.i].Improve(d_sq, view.id(p.j));
+        });
+        for (size_t r = begin + 1; r <= end; ++r) {
+          const size_t k = order[r];
+          for (size_t s = 0; s < r; ++s) {
+            queue.Push(rows[k], rows[order[s]], {k, order[s]});
+          }
         }
-        commit(k, best);
+        queue.Finish();
       });
       break;
     }
+  }
+  for (size_t k = 0; k < n; ++k) {
+    if (best[k].upslope == kInvalidPointId) continue;
+    out.delta_sq[k] = best[k].d_sq;
+    out.delta[k] = best[k].Delta();
+    out.upslope[k] = best[k].upslope;
   }
   return out;
 }
@@ -477,26 +539,20 @@ void LocalDpEngine::RhoCross(const LocalPointView& left,
     }
     return;
   }
-  if (both) {
-    for (size_t i = 0; i < nl; ++i) {
-      std::span<const double> pi = left.point(i);
+  ForEachBlock(nl, parallel, [&](size_t begin, size_t end) {
+    PairQueue queue(left.dim(), metric, [&](PairTag p, double d_sq) {
+      if (d_sq < dc_sq) {
+        ++counts_left[p.i];
+        if (both) ++counts_right[p.j];
+      }
+    });
+    for (size_t i = begin; i < end; ++i) {
       for (size_t j = 0; j < nr; ++j) {
-        if (metric.SquaredDistance(pi, right.point(j)) < dc_sq) {
-          ++counts_left[i];
-          ++counts_right[j];
-        }
+        queue.Push(left.rows()[i], right.rows()[j], {i, j});
       }
     }
-  } else {
-    ForEachIndex(nl, parallel, [&](size_t i) {
-      std::span<const double> pi = left.point(i);
-      uint32_t count = 0;
-      for (size_t j = 0; j < nr; ++j) {
-        if (metric.SquaredDistance(pi, right.point(j)) < dc_sq) ++count;
-      }
-      counts_left[i] += count;
-    });
-  }
+    queue.Finish();
+  });
 }
 
 void LocalDpEngine::DeltaCross(const LocalPointView& queries,
@@ -550,19 +606,20 @@ void LocalDpEngine::DeltaCross(const LocalPointView& queries,
     });
     return;
   }
-  ForEachIndex(nq, parallel, [&](size_t k) {
-    std::span<const double> pk = queries.point(k);
-    const uint32_t rho_k = query_rho[k];
-    const PointId id_k = queries.id(k);
-    LocalDeltaBest b = best[k];
-    for (size_t l = 0; l < nc; ++l) {
-      if (!DenserThan(candidate_rho[l], candidates.id(l), rho_k, id_k)) {
-        continue;
+  ForEachBlock(nq, parallel, [&](size_t begin, size_t end) {
+    PairQueue queue(queries.dim(), metric, [&](PairTag p, double d_sq) {
+      best[p.i].Improve(d_sq, candidates.id(p.j));
+    });
+    for (size_t k = begin; k < end; ++k) {
+      const uint32_t rho_k = query_rho[k];
+      const PointId id_k = queries.id(k);
+      for (size_t l = 0; l < nc; ++l) {
+        if (DenserThan(candidate_rho[l], candidates.id(l), rho_k, id_k)) {
+          queue.Push(queries.rows()[k], candidates.rows()[l], {k, l});
+        }
       }
-      b.Improve(metric.SquaredDistance(pk, candidates.point(l)),
-                candidates.id(l));
     }
-    best[k] = b;
+    queue.Finish();
   });
 }
 
@@ -598,20 +655,22 @@ void LocalDpEngine::DeltaCrossSymmetric(
   const CountingMetric& metric = scope.metric();
   // Brute: each cross pair's distance is evaluated exactly once and feeds
   // both sides — the Basic-DDP block-pair cost model.
+  PairQueue queue(left.dim(), metric, [&](PairTag p, double d_sq) {
+    const PointId id_i = left.id(p.i);
+    const PointId id_j = right.id(p.j);
+    if (DenserThan(rho_right[p.j], id_j, rho_left[p.i], id_i)) {
+      best_left[p.i].Improve(d_sq, id_j);
+    }
+    if (DenserThan(rho_left[p.i], id_i, rho_right[p.j], id_j)) {
+      best_right[p.j].Improve(d_sq, id_i);
+    }
+  });
   for (size_t i = 0; i < nl; ++i) {
-    std::span<const double> pi = left.point(i);
-    const uint32_t rho_i = rho_left[i];
-    const PointId id_i = left.id(i);
     for (size_t j = 0; j < nr; ++j) {
-      double d_sq = metric.SquaredDistance(pi, right.point(j));
-      if (DenserThan(rho_right[j], right.id(j), rho_i, id_i)) {
-        best_left[i].Improve(d_sq, right.id(j));
-      }
-      if (DenserThan(rho_i, id_i, rho_right[j], right.id(j))) {
-        best_right[j].Improve(d_sq, id_i);
-      }
+      queue.Push(left.rows()[i], right.rows()[j], {i, j});
     }
   }
+  queue.Finish();
 }
 
 }  // namespace ddp

@@ -31,8 +31,17 @@
 ///  * Gaussian contributions use GaussianKernelContributionSq and are
 ///    accumulated per point in ascending group-position order; truncated
 ///    terms are exact zeros, so range-searched and full scans agree.
+///  * Brute and triangle loops, and the brute cross loops, evaluate their
+///    pairs kPairLanes at a time through the lane kernel of
+///    core/pair_kernel.h, chosen once at run time from the CPU (AVX2 or a
+///    portable interleaved-scalar kernel). Three invariants keep each lane
+///    bit-identical to SquaredEuclidean: every pair sums over ascending
+///    dimensions; nothing is contracted into an FMA (-ffp-contract=off);
+///    queued pairs are applied in push order, the order of a one-pair-at-
+///    a-time loop, so gaussian sums and Improve() tie-breaks are unchanged.
 ///  * Backends therefore return bit-identical rho, delta, and upslope, and
-///    backend selection (or the parallel path) can never change results.
+///    neither backend selection, the parallel path, nor the CPU's kernel
+///    can change results. Evaluation counts are exact per call.
 
 namespace ddp {
 

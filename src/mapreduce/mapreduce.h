@@ -329,6 +329,29 @@ struct JobSpec {
 
 namespace internal {
 
+/// How the map phase splits `n` input records over its tasks: up to four
+/// tasks per worker, `chunk` contiguous records each. The task count is
+/// recomputed from `chunk`, so every task's range is non-empty and in
+/// bounds (n = 100 over 16 workers gives chunk 2 and 50 tasks, not 64 tasks
+/// of which the last 14 would start past the end).
+struct MapSplit {
+  size_t n = 0;
+  size_t num_tasks = 1;
+  size_t chunk = 0;
+
+  size_t Begin(size_t t) const { return std::min(n, t * chunk); }
+  size_t End(size_t t) const { return std::min(n, (t + 1) * chunk); }
+};
+
+inline MapSplit PlanMapSplit(size_t n, size_t workers) {
+  MapSplit split;
+  split.n = n;
+  const size_t wanted = std::max<size_t>(1, std::min(n, workers * 4));
+  split.chunk = (n + wanted - 1) / wanted;
+  if (split.chunk > 0) split.num_tasks = (n + split.chunk - 1) / split.chunk;
+  return split;
+}
+
 /// Pure chaos decision: does event `attempt` of task `task` in `phase` fire?
 /// Shared by failure injection (phases 0/1), shuffle corruption (phase 2,
 /// with the partition index in the `attempt` slot), and straggler injection
@@ -1402,9 +1425,9 @@ Result<std::vector<Out>> RunJob(const JobSpec<In, MidK, MidV, Out>& spec,
     counters.spill_files_reaped += ReapOrphanSpillFiles(spill_dir);
   }
   Stopwatch map_timer;
-  const size_t num_map_tasks =
-      std::max<size_t>(1, std::min(input.size(), workers * 4));
-  const size_t chunk = (input.size() + num_map_tasks - 1) / num_map_tasks;
+  const internal::MapSplit split =
+      internal::PlanMapSplit(input.size(), workers);
+  const size_t num_map_tasks = split.num_tasks;
   DDP_TRACE_SPAN(map_span, obs::kCatMr, obs::kSpanMapPhase);
   if (map_span.active()) {
     map_span.AddArg("job", spec.name);
@@ -1415,8 +1438,8 @@ Result<std::vector<Out>> RunJob(const JobSpec<In, MidK, MidV, Out>& spec,
   std::vector<MapOutput> map_outputs;
   auto map_body =
       [&](size_t t, CancelToken* cancel, MapOutput* out) -> Status {
-        const size_t begin = t * chunk;
-        const size_t end = std::min(input.size(), begin + chunk);
+        const size_t begin = split.Begin(t);
+        const size_t end = split.End(t);
         return internal::ExecuteMapTask(
             spec, input.subspan(begin, end - begin), t, num_partitions,
             options.faults, sorted_shuffle, options.memory_budget_bytes,
@@ -1461,10 +1484,10 @@ Result<std::vector<Out>> RunJob(const JobSpec<In, MidK, MidV, Out>& spec,
       map_remote.pool = options.remote_pool;
       map_remote.setup = setup.Encode();
       map_remote.local_workers = options.remote_local_workers;
-      map_remote.task_input = [&input, chunk](size_t t)
+      map_remote.task_input = [&input, split](size_t t)
           -> Result<std::string> {
-        const size_t begin = t * chunk;
-        const size_t end = std::min(input.size(), begin + chunk);
+        const size_t begin = split.Begin(t);
+        const size_t end = split.End(t);
         std::string bytes;
         BufferWriter w(&bytes);
         w.PutVarint64(end - begin);

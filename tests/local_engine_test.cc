@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <vector>
 
+#include "common/random.h"
 #include "core/local_dp.h"
+#include "core/pair_kernel.h"
 #include "core/sequential_dp.h"
 #include "dataset/generators.h"
 #include "ddp/basic_ddp.h"
@@ -67,7 +73,9 @@ TEST(LocalDpBackendTest, AutoResolvesByGroupSizeAndDim) {
 // rely on.
 TEST(LocalEngineEquivalenceTest, BackendsAgreeBitIdentically) {
   CountingMetric metric;
-  for (size_t dim : {2u, 8u}) {
+  // Dims 5 and 57 leave a tail past the last full 4-wide block; 57 and 74
+  // are the BigCross and Kdd dimensionalities.
+  for (size_t dim : {2u, 5u, 8u, 57u, 74u}) {
     for (size_t n : {3u, 17u, 300u, 700u}) {
       auto ds = gen::GaussianMixture(n, dim, 3, 20.0, 3.0, 17 + n + dim);
       ASSERT_TRUE(ds.ok());
@@ -182,6 +190,229 @@ TEST(LocalEngineEquivalenceTest, ExactAlgorithmsMatchOracleUnderAllBackends) {
     EXPECT_EQ(escores->rho, oracle->rho) << LocalDpBackendName(backend);
     EXPECT_EQ(escores->delta, oracle->delta) << LocalDpBackendName(backend);
     EXPECT_EQ(escores->upslope, oracle->upslope) << LocalDpBackendName(backend);
+  }
+}
+
+// ------------------------------------------------ Lane kernel reference bits
+
+// Every lane of both lane kernels must equal SquaredEuclidean bit for bit
+// (ascending dimensions, no fused multiply-add) for every dimensionality
+// and every queue fill, and must leave lanes past the fill untouched.
+TEST(PairKernelTest, LanesMatchSquaredEuclideanBitForBit) {
+  std::vector<internal::PairLaneKernel> kernels = {&internal::PairLanesScalar};
+  if (internal::CpuHasAvx2()) {
+    ASSERT_NE(internal::kPairLanesAvx2, nullptr);
+    kernels.push_back(internal::kPairLanesAvx2);
+    EXPECT_EQ(internal::SelectedPairLaneKernel(), internal::kPairLanesAvx2);
+  } else {
+    EXPECT_EQ(internal::SelectedPairLaneKernel(), &internal::PairLanesScalar);
+  }
+  constexpr size_t kLanes = internal::kPairLanes;
+  constexpr double kSentinel = -1.0;
+  Rng rng(2017);
+  for (size_t dim = 1; dim <= 80; ++dim) {
+    // Mixed magnitudes and signs so that summation order shows in the bits.
+    std::vector<std::vector<double>> rows(2 * kLanes, std::vector<double>(dim));
+    for (auto& row : rows) {
+      for (double& x : row) {
+        x = rng.Gaussian() * std::exp2(rng.Uniform(-20, 20));
+      }
+    }
+    const double* a[kLanes];
+    const double* b[kLanes];
+    for (size_t k = 0; k < kLanes; ++k) {
+      a[k] = rows[k].data();
+      b[k] = rows[kLanes + k].data();
+    }
+    for (internal::PairLaneKernel kernel : kernels) {
+      for (size_t fill = 1; fill <= kLanes; ++fill) {
+        double out[kLanes];
+        std::fill(std::begin(out), std::end(out), kSentinel);
+        kernel(a, b, fill, dim, out);
+        for (size_t k = 0; k < kLanes; ++k) {
+          const double want = k < fill
+                                  ? SquaredEuclidean(rows[k], rows[kLanes + k])
+                                  : kSentinel;
+          EXPECT_EQ(std::bit_cast<uint64_t>(out[k]),
+                    std::bit_cast<uint64_t>(want))
+              << "dim=" << dim << " fill=" << fill << " lane=" << k
+              << " avx2=" << (kernel != &internal::PairLanesScalar);
+        }
+      }
+    }
+  }
+}
+
+// ------------------------------------------------------- Evaluation counts
+
+// Triangle-filter reference: the one-pair-at-a-time loops the engine's
+// lanes replaced, counting evaluations (n centroid projections plus every
+// pair the filter lets through).
+struct TriangleReference {
+  std::vector<double> proj;
+
+  explicit TriangleReference(const LocalPointView& view) {
+    std::vector<double> centroid(view.dim(), 0.0);
+    for (size_t k = 0; k < view.size(); ++k) {
+      for (size_t d = 0; d < view.dim(); ++d) centroid[d] += view.point(k)[d];
+    }
+    for (double& c : centroid) c /= static_cast<double>(view.size());
+    for (size_t k = 0; k < view.size(); ++k) {
+      proj.push_back(Euclidean(view.point(k), centroid));
+    }
+  }
+
+  uint64_t RhoEvals(double reach) const {
+    uint64_t evals = proj.size();
+    for (size_t i = 0; i < proj.size(); ++i) {
+      for (size_t j = i + 1; j < proj.size(); ++j) {
+        if (std::abs(proj[i] - proj[j]) < reach) ++evals;
+      }
+    }
+    return evals;
+  }
+
+  uint64_t DeltaEvals(const LocalPointView& view,
+                      std::span<const uint32_t> rho) const {
+    std::vector<uint32_t> order(view.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return DenserThan(rho[a], view.id(a), rho[b], view.id(b));
+    });
+    uint64_t evals = proj.size();
+    for (size_t r = 1; r < order.size(); ++r) {
+      const size_t k = order[r];
+      LocalDeltaBest best;
+      for (size_t s = 0; s < r; ++s) {
+        const size_t l = order[s];
+        const double gap = std::abs(proj[k] - proj[l]);
+        if (gap * gap > best.d_sq) continue;
+        ++evals;
+        best.Improve(SquaredEuclidean(view.point(k), view.point(l)),
+                     view.id(l));
+      }
+    }
+    return evals;
+  }
+};
+
+TEST(LocalEngineCountTest, BruteAndTriangleCountsAreExact) {
+  for (size_t dim : {5u, 74u}) {
+    for (size_t n : {2u, 9u, 57u, 300u}) {
+      auto ds = gen::GaussianMixture(n, dim, 3, 20.0, 3.0, 5 + n + dim);
+      ASSERT_TRUE(ds.ok());
+      LocalPointView view = LocalPointView::AllOf(*ds);
+      const double dc = 3.0 * std::sqrt(static_cast<double>(dim));
+      const uint64_t pairs = n * (n - 1) / 2;
+      const TriangleReference tri(view);
+      for (DensityKernel kernel :
+           {DensityKernel::kCutoff, DensityKernel::kGaussian}) {
+        const double reach =
+            kernel == DensityKernel::kGaussian ? kGaussianKernelCut * dc : dc;
+        for (size_t parallel_min : {4096u, 2u}) {
+          const bool parallel = n >= parallel_min;
+          SCOPED_TRACE(testing::Message()
+                       << "n=" << n << " dim=" << dim << " kernel="
+                       << static_cast<int>(kernel) << " parallel=" << parallel);
+          DistanceCounter counter;
+          CountingMetric metric(&counter);
+          LocalDpEngine brute = EngineWith(LocalDpBackend::kBruteForce,
+                                           parallel_min);
+          std::vector<uint32_t> rho = brute.Rho(view, dc, kernel, metric);
+          // The parallel rho path scans full rows: every pair twice.
+          EXPECT_EQ(counter.value(), parallel ? 2 * pairs : pairs);
+          counter.Reset();
+          brute.Delta(view, rho, metric);
+          EXPECT_EQ(counter.value(), n > 1 ? pairs : 0u);
+
+          LocalDpEngine triangle = EngineWith(LocalDpBackend::kTriangleFilter,
+                                              parallel_min);
+          counter.Reset();
+          triangle.Rho(view, dc, kernel, metric);
+          const uint64_t rho_pairs = tri.RhoEvals(reach) - n;
+          EXPECT_EQ(counter.value(), n + (parallel ? 2 : 1) * rho_pairs);
+          counter.Reset();
+          triangle.Delta(view, rho, metric);
+          EXPECT_EQ(counter.value(), tri.DeltaEvals(view, rho));
+        }
+      }
+    }
+  }
+}
+
+TEST(LocalEngineCountTest, CrossKernelsCountEveryPair) {
+  auto ds = gen::GaussianMixture(130, 57, 3, 20.0, 3.0, 91);
+  ASSERT_TRUE(ds.ok());
+  std::vector<PointId> left_ids, right_ids;
+  for (PointId i = 0; i < 130; ++i) {
+    (i < 47 ? left_ids : right_ids).push_back(i);
+  }
+  LocalPointView left = LocalPointView::SubsetOf(*ds, left_ids);
+  LocalPointView right = LocalPointView::SubsetOf(*ds, right_ids);
+  const size_t nl = left.size();
+  const size_t nr = right.size();
+  std::vector<uint32_t> rho_left(nl), rho_right(nr);
+  for (size_t i = 0; i < nl; ++i) rho_left[i] = static_cast<uint32_t>(i % 7);
+  for (size_t j = 0; j < nr; ++j) rho_right[j] = static_cast<uint32_t>(j % 5);
+  // Scalar reference results and the one-sided delta's pair count.
+  const double dc = 40.0;
+  std::vector<uint32_t> want_left(nl), want_right(nr);
+  std::vector<LocalDeltaBest> want_best_left(nl), want_best_right(nr);
+  uint64_t denser = 0;  // (left query, denser right candidate) pairs
+  for (size_t i = 0; i < nl; ++i) {
+    for (size_t j = 0; j < nr; ++j) {
+      const double d_sq = SquaredEuclidean(left.point(i), right.point(j));
+      if (d_sq < dc * dc) {
+        ++want_left[i];
+        ++want_right[j];
+      }
+      if (DenserThan(rho_right[j], right.id(j), rho_left[i], left.id(i))) {
+        ++denser;
+        want_best_left[i].Improve(d_sq, right.id(j));
+      } else {
+        want_best_right[j].Improve(d_sq, left.id(i));
+      }
+    }
+  }
+  auto same = [](const std::vector<LocalDeltaBest>& got,
+                 const std::vector<LocalDeltaBest>& want) {
+    for (size_t k = 0; k < got.size(); ++k) {
+      if (std::bit_cast<uint64_t>(got[k].d_sq) !=
+              std::bit_cast<uint64_t>(want[k].d_sq) ||
+          got[k].upslope != want[k].upslope) {
+        return false;
+      }
+    }
+    return got.size() == want.size();
+  };
+  for (size_t parallel_min : {4096u, 2u}) {
+    SCOPED_TRACE(testing::Message() << "parallel_min=" << parallel_min);
+    LocalDpEngine engine =
+        EngineWith(LocalDpBackend::kBruteForce, parallel_min);
+    DistanceCounter counter;
+    CountingMetric metric(&counter);
+    std::vector<uint32_t> counts_left(nl), counts_right(nr);
+    engine.RhoCross(left, right, dc, metric, counts_left, counts_right);
+    EXPECT_EQ(counter.value(), nl * nr);
+    EXPECT_EQ(counts_left, want_left);
+    EXPECT_EQ(counts_right, want_right);
+    counter.Reset();
+    std::vector<uint32_t> one_sided(nl);
+    engine.RhoCross(left, right, dc, metric, one_sided, {});
+    EXPECT_EQ(counter.value(), nl * nr);
+    EXPECT_EQ(one_sided, want_left);
+    counter.Reset();
+    std::vector<LocalDeltaBest> best_left(nl), best_right(nr);
+    engine.DeltaCrossSymmetric(left, rho_left, right, rho_right, metric,
+                               best_left, best_right);
+    EXPECT_EQ(counter.value(), nl * nr);
+    EXPECT_TRUE(same(best_left, want_best_left));
+    EXPECT_TRUE(same(best_right, want_best_right));
+    counter.Reset();
+    std::vector<LocalDeltaBest> best(nl);
+    engine.DeltaCross(left, rho_left, right, rho_right, metric, best);
+    EXPECT_EQ(counter.value(), denser);
+    EXPECT_TRUE(same(best, want_best_left));
   }
 }
 

@@ -276,6 +276,60 @@ TEST(MapReduceTest, ShuffleBytesScaleWithPayload) {
   EXPECT_EQ(wide.shuffle_bytes - narrow.shuffle_bytes, 100u * 10u * 8u);
 }
 
+// The map split must put every record in exactly one in-bounds task for
+// every input size and worker count — including the small-n shapes where
+// ceil(n / (4 * workers)) leaves fewer non-empty chunks than 4 * workers —
+// and the job's output must not depend on the worker count.
+TEST(MapReduceTest, MapSplitCoversInputForEverySizeAndWorkerCount) {
+  using Row = std::pair<int, std::vector<int>>;
+  JobSpec<int, int, int, Row> spec;
+  spec.name = "split_sweep";
+  spec.map = [](const int& v, Emitter<int, int>* out) { out->Emit(v % 5, v); };
+  spec.reduce = [](const int& key, std::span<const int> values,
+                   std::vector<Row>* out) {
+    out->push_back({key, {values.begin(), values.end()}});
+  };
+  std::vector<size_t> sizes(513);
+  std::iota(sizes.begin(), sizes.end(), 0);
+  sizes.insert(sizes.end(), {1000, 2047, 4096});
+  for (size_t n : sizes) {
+    std::vector<int> input(n);
+    std::iota(input.begin(), input.end(), 0);
+    std::vector<Row> reference;
+    for (size_t workers = 1; workers <= 16; ++workers) {
+      const internal::MapSplit split = internal::PlanMapSplit(n, workers);
+      ASSERT_GE(split.num_tasks, 1u);
+      ASSERT_LE(split.num_tasks, std::max<size_t>(1, 4 * workers));
+      size_t covered = 0;
+      for (size_t t = 0; t < split.num_tasks; ++t) {
+        // Contiguous ranges that start where the previous one ended are
+        // disjoint; ending at n makes them covering.
+        ASSERT_EQ(split.Begin(t), covered) << "n=" << n << " w=" << workers;
+        ASSERT_LE(split.End(t), n) << "n=" << n << " w=" << workers;
+        if (n > 0) {
+          ASSERT_LT(split.Begin(t), split.End(t)) << "empty task";
+        }
+        covered = split.End(t);
+      }
+      ASSERT_EQ(covered, n) << "n=" << n << " w=" << workers;
+
+      Options options;
+      options.num_workers = workers;
+      options.num_partitions = 4;
+      auto result = RunJob(spec, std::span<const int>(input), options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      if (workers == 1) {
+        reference = *std::move(result);
+        size_t records = 0;
+        for (const Row& row : reference) records += row.second.size();
+        ASSERT_EQ(records, n);
+      } else {
+        ASSERT_EQ(*result, reference) << "n=" << n << " w=" << workers;
+      }
+    }
+  }
+}
+
 TEST(KeyTraitsTest, PairAndVectorHashing) {
   using VK = std::vector<int64_t>;
   VK a = {1, 2, 3}, b = {1, 2, 3}, c = {1, 2, 4};
