@@ -174,7 +174,7 @@ struct Serde<T, std::enable_if_t<std::is_integral_v<T> && std::is_signed_v<T>>> 
     w->PutSignedVarint64(static_cast<int64_t>(v));
   }
   static Status Read(BufferReader* r, T* out) {
-    int64_t v;
+    int64_t v = 0;
     DDP_RETURN_NOT_OK(r->GetSignedVarint64(&v));
     *out = static_cast<T>(v);
     return Status::OK();
@@ -188,7 +188,7 @@ struct Serde<T,
     w->PutVarint64(static_cast<uint64_t>(v));
   }
   static Status Read(BufferReader* r, T* out) {
-    uint64_t v;
+    uint64_t v = 0;
     DDP_RETURN_NOT_OK(r->GetVarint64(&v));
     *out = static_cast<T>(v);
     return Status::OK();

@@ -46,9 +46,14 @@
 ///    size of real encoded data, the quantity a cluster would move over the
 ///    network. Records are length-framed (like Hadoop's IFile) so the reduce
 ///    side can re-sync past a corrupt record.
-///  * Reduce partitions deserialize, sort by key, group, and run reduce tasks
-///    in parallel. Output order is deterministic (partition-major, key-sorted
-///    within a partition).
+///  * One shuffle, Hadoop's sort/spill/merge (spill.h): each map task
+///    key-sorts its output per partition into sorted tails, spilling sorted,
+///    CRC-trailed runs to `Options::spill_dir` whenever its buffered bytes
+///    exceed `Options::memory_budget_bytes` (0 = never spill). Each reduce
+///    task streams a k-way merge over its partition's runs and tails, groups,
+///    and reduces, in parallel. Output order is deterministic
+///    (partition-major, key-sorted within a partition) and bit-identical at
+///    every budget and on every substrate.
 ///  * An optional combiner folds map-side values per key before
 ///    serialization, shrinking shuffle volume exactly as Hadoop combiners do.
 ///  * The full Hadoop fault-tolerance toolkit, driven by deterministic chaos
@@ -58,12 +63,6 @@
 ///    (`Options::skip_bad_records`), user-exception capture, and job-boundary
 ///    checkpoint/resume (`Options::checkpoint`). Tasks are pure functions of
 ///    their input split, so every recovery path yields bit-identical output.
-///  * Out-of-core execution (`Options::memory_budget_bytes`, spill.h): map
-///    tasks spill sorted, CRC-trailed runs to `Options::spill_dir` when their
-///    buffered intermediate bytes exceed the budget, and reduce streams a
-///    k-way merge over those runs instead of materializing the partition —
-///    Hadoop's spill/merge pipeline. Output is bit-identical to the
-///    in-memory path at every budget.
 ///
 /// Type requirements:
 ///  * `MidK`: Serde<MidK>, `KeyTraits<MidK>::Hash`, operator== and
@@ -236,10 +235,10 @@ struct Options {
   /// Out-of-core execution. When > 0, a map task whose buffered intermediate
   /// payload bytes reach this budget key-sorts its in-memory segment and
   /// spills it to `spill_dir` as CRC-trailed sorted runs (one per non-empty
-  /// partition); the reduce side then streams a k-way merge over each
-  /// partition's runs plus the in-memory tails instead of decoding and
-  /// sorting the whole partition. 0 keeps the all-in-memory path. Output is
-  /// bit-identical either way (see spill.h for the determinism contract).
+  /// partition). 0 never spills: map output stays in memory as sorted
+  /// tails. Either way the reduce side streams the same k-way merge over
+  /// each partition's runs and tails, so output is bit-identical at every
+  /// budget (see spill.h for the determinism contract).
   uint64_t memory_budget_bytes = 0;
   /// Directory for spill files; empty means "<system temp>/ddp-spill".
   /// Files are created with process-unique names and removed when the job's
@@ -373,57 +372,13 @@ inline bool ShouldInjectFailure(const FaultInjection& faults, double rate,
   return u < rate;
 }
 
-/// Map-side emitter that serializes each pair, length-framed, into the
-/// buffer of the partition its key hashes to. Frame headers exist so the
-/// reduce side can skip a corrupt record; they are bookkeeping, not payload,
-/// so byte accounting (`payload_bytes`) counts only the key/value encodings
-/// — the quantity the paper's shuffle-cost figures report.
-template <typename MidK, typename MidV>
-class PartitionedEmitter : public Emitter<MidK, MidV> {
- public:
-  explicit PartitionedEmitter(size_t num_partitions)
-      : buffers_(num_partitions), payload_bytes_(num_partitions, 0) {}
-
-  void Emit(const MidK& key, const MidV& value) override {
-    size_t p = KeyTraits<MidK>::Hash(key) % buffers_.size();
-    scratch_.clear();
-    BufferWriter rec(&scratch_);
-    Serde<MidK>::Write(&rec, key);
-    Serde<MidV>::Write(&rec, value);
-    BufferWriter out(&buffers_[p]);
-    out.PutVarint64(scratch_.size());
-    out.PutRaw(scratch_.data(), scratch_.size());
-    payload_bytes_[p] += scratch_.size();
-    ++records_;
-  }
-
-  /// Appends an undecodable frame to partition `p` (shuffle-corruption
-  /// injection). The frame is well-formed at the framing layer, so
-  /// skip_bad_records can step over it, but its payload can never decode as
-  /// a record: 0xff is an unterminated varint and too short for any
-  /// fixed-width field, and a decode that somehow consumed less than the
-  /// frame is rejected as short.
-  void AppendPoisonFrame(size_t p) {
-    BufferWriter out(&buffers_[p]);
-    out.PutVarint64(1);
-    out.PutByte(0xff);
-  }
-
-  std::vector<std::string>& buffers() { return buffers_; }
-  const std::vector<uint64_t>& payload_bytes() const { return payload_bytes_; }
-  uint64_t records() const { return records_; }
-
- private:
-  std::vector<std::string> buffers_;
-  std::vector<uint64_t> payload_bytes_;
-  std::string scratch_;
-  uint64_t records_ = 0;
-};
-
-/// Map-side emitter for the out-of-core path: forwards every pair into a
-/// memory-budgeted SpillingBuffer (spill.h), which sorts and flushes runs to
-/// disk whenever the budget is hit. Spill I/O errors are deferred and
-/// surfaced by Finish(), keeping the Emitter interface non-failing.
+/// Map-side emitter: forwards every pair into a SpillingBuffer (spill.h),
+/// which sorts each partition's frames and, under a memory budget, flushes
+/// sorted runs to disk whenever the budget is hit. Byte accounting
+/// (`payload_bytes`) counts only the key/value encodings, not frame headers
+/// — the quantity the paper's shuffle-cost figures report. Spill I/O errors
+/// are deferred and surfaced by Finish(), keeping the Emitter interface
+/// non-failing.
 template <typename MidK, typename MidV>
 class SpillingEmitter : public Emitter<MidK, MidV> {
  public:
@@ -637,6 +592,32 @@ struct WorkerChaosParams {
   bool drop_chaos = false;
 };
 
+/// The attempt chaos every scheduler rolls after a successful task body, in
+/// this order: an injected failure (`phase`'s own hash), then a straggler
+/// dawdle (`phase + 4`) stretching the attempt to ~`straggler_slowdown`
+/// times the body's wall time, interruptible through `cancel`. `watch` was
+/// started before the body ran. Returns `status` or the injected failure.
+/// The in-process scheduler, fork workers and remote workers all call this,
+/// so every substrate rolls identical hashes.
+inline Status RollAttemptChaos(Status status, const FaultInjection& faults,
+                               double failure_rate, const std::string& job_name,
+                               int phase, size_t task, size_t attempt,
+                               const Stopwatch& watch, CancelToken* cancel) {
+  if (status.ok() && ShouldInjectFailure(faults, failure_rate, job_name, phase,
+                                         task, attempt)) {
+    status = Status::Internal("injected task failure");
+  }
+  if (status.ok() && ShouldInjectFailure(faults, faults.straggler_rate,
+                                         job_name, phase + 4, task, attempt)) {
+    const double dawdle =
+        std::max(faults.straggler_min_seconds,
+                 watch.ElapsedSeconds() *
+                     std::max(0.0, faults.straggler_slowdown - 1.0));
+    cancel->WaitFor(dawdle);
+  }
+  return status;
+}
+
 /// Runs one worker-side task attempt with the full fork-mode chaos order:
 /// poison-task and mid-map crashes before the body, injected failure and
 /// straggler dawdle after it, mid-shuffle crash / mid-run channel drop
@@ -676,23 +657,12 @@ Status RunWorkerAttempt(const WorkerChaosParams& chaos, size_t t,
   Output out{};
   CancelToken cancel;  // hung workers are killed, not cancelled
   Stopwatch watch;
-  Status st = body(t, &cancel, &out);
   // In-process chaos parity (worker-side, so retries re-roll the same
-  // deterministic hashes the thread scheduler would).
-  if (st.ok() && ShouldInjectFailure(faults, chaos.failure_rate,
-                                     chaos.job_name, chaos.phase, t,
-                                     attempt)) {
-    st = Status::Internal("injected task failure");
-  }
-  if (st.ok() && ShouldInjectFailure(faults, faults.straggler_rate,
-                                     chaos.job_name, chaos.phase + 4, t,
-                                     attempt)) {
-    const double dawdle =
-        std::max(faults.straggler_min_seconds,
-                 watch.ElapsedSeconds() *
-                     std::max(0.0, faults.straggler_slowdown - 1.0));
-    cancel.WaitFor(dawdle);  // dawdles until the supervisor's hang kill
-  }
+  // deterministic hashes the thread scheduler would). A dawdle lasts until
+  // the supervisor's hang kill.
+  const Status st =
+      RollAttemptChaos(body(t, &cancel, &out), faults, chaos.failure_rate,
+                       chaos.job_name, chaos.phase, t, attempt, watch, &cancel);
   if (!st.ok()) {
     if (crash_mid_shuffle) CrashSelf();  // parity: the worker still dies
     return st;
@@ -715,14 +685,14 @@ Status RunWorkerAttempt(const WorkerChaosParams& chaos, size_t t,
 /// and a remote ddp_worker replays from a kTaskAssign frame. `task` is the
 /// job-wide task id (poison placement hashes it, so a remote slice
 /// reproduces the exact corruption an in-process run injects); the
-/// cancel-poll cadence is slice-relative either way. With `sorted_shuffle`,
-/// output is sorted runs + tails via a SpillingBuffer (never touching disk
-/// under a 0 budget); otherwise unsorted per-partition buffers.
+/// cancel-poll cadence is slice-relative either way. Output is sorted
+/// per-partition tails plus, once `memory_budget_bytes` (> 0) is exceeded,
+/// sorted runs spilled to `spill_dir`.
 template <typename In, typename MidK, typename MidV, typename Out>
 Status ExecuteMapTask(const JobSpec<In, MidK, MidV, Out>& spec,
                       std::span<const In> slice, size_t task,
                       size_t num_partitions, const FaultInjection& faults,
-                      bool sorted_shuffle, uint64_t memory_budget_bytes,
+                      uint64_t memory_budget_bytes,
                       const std::string& spill_dir, CancelToken* cancel,
                       MapTaskOutput* out) {
   // A failed attempt's partial output is discarded, exactly like a lost
@@ -730,15 +700,9 @@ Status ExecuteMapTask(const JobSpec<In, MidK, MidV, Out>& spec,
   // scheduler on success. Spill files are attempt-local too — names carry a
   // process-unique id, and a failed or abandoned attempt's RAII handles
   // unlink its files on the way out.
-  PartitionedEmitter<MidK, MidV> emitter(num_partitions);
-  std::unique_ptr<SpillingEmitter<MidK, MidV>> spiller;
-  Emitter<MidK, MidV>* sink = &emitter;
-  if (sorted_shuffle) {
-    spiller = std::make_unique<SpillingEmitter<MidK, MidV>>(
-        num_partitions, memory_budget_bytes, spill_dir,
-        spec.name + "-m" + std::to_string(task));
-    sink = spiller.get();
-  }
+  SpillingEmitter<MidK, MidV> sink(num_partitions, memory_budget_bytes,
+                                   spill_dir,
+                                   spec.name + "-m" + std::to_string(task));
   if (spec.combiner) {
     CombiningEmitter<MidK, MidV> combining;
     for (size_t i = 0; i < slice.size(); ++i) {
@@ -748,13 +712,13 @@ Status ExecuteMapTask(const JobSpec<In, MidK, MidV, Out>& spec,
       spec.map(slice[i], &combining);
     }
     out->combine_in = combining.records();
-    combining.Flush(spec.combiner, sink);
+    combining.Flush(spec.combiner, &sink);
   } else {
     for (size_t i = 0; i < slice.size(); ++i) {
       if ((i & 1023u) == 0 && cancel->cancelled()) {
         return Status::Cancelled("map attempt abandoned");
       }
-      spec.map(slice[i], sink);
+      spec.map(slice[i], &sink);
     }
   }
   if (faults.corruption_rate > 0.0) {
@@ -763,39 +727,29 @@ Status ExecuteMapTask(const JobSpec<In, MidK, MidV, Out>& spec,
     for (size_t p = 0; p < num_partitions; ++p) {
       if (ShouldInjectFailure(faults, faults.corruption_rate, spec.name,
                               /*phase=*/2, task, p)) {
-        if (spiller != nullptr) {
-          spiller->AppendPoisonFrame(p);
-        } else {
-          emitter.AppendPoisonFrame(p);
-        }
+        sink.AppendPoisonFrame(p);
       }
     }
   }
-  if (spiller != nullptr) {
-    auto& buffer = spiller->buffer();
-    DDP_RETURN_NOT_OK(buffer.Finish());
-    out->records = buffer.records();
-    out->payload_bytes = buffer.payload_bytes();
-    out->buffers = std::move(buffer.tails());
-    out->runs = std::move(buffer.runs());
-    out->spilled_bytes = buffer.spilled_bytes();
-    out->spill_files = buffer.spill_files();
-    out->spill_seconds = buffer.spill_seconds();
-  } else {
-    out->records = emitter.records();
-    out->payload_bytes = emitter.payload_bytes();
-    out->buffers = std::move(emitter.buffers());
-  }
+  auto& buffer = sink.buffer();
+  DDP_RETURN_NOT_OK(buffer.Finish());
+  out->records = buffer.records();
+  out->payload_bytes = buffer.payload_bytes();
+  out->buffers = std::move(buffer.tails());
+  out->runs = std::move(buffer.runs());
+  out->spilled_bytes = buffer.spilled_bytes();
+  out->spill_files = buffer.spill_files();
+  out->spill_seconds = buffer.spill_seconds();
   return Status::OK();
 }
 
-/// Executes one sorted-shuffle reduce task: a k-way merge over `sources`
-/// (this partition's runs and tails, in (map task id, spill index, tail)
-/// source order so key ties reproduce the stable-sorted order of the
-/// in-memory path), grouping and reducing each key. `any_run` counts one
-/// merge pass when a spilled run actually fed the merge — remote callers
-/// pass the flag computed supervisor-side, keeping merge_passes identical
-/// to a local run even though shipped runs arrive as in-memory bytes.
+/// Executes one reduce task: a k-way merge over `sources` (this partition's
+/// runs and tails, in (map task id, spill index, tail) source order so key
+/// ties keep (map task id, emission index) order), grouping and reducing
+/// each key. `any_run` counts one merge pass when a spilled run actually fed
+/// the merge — remote callers pass the flag computed supervisor-side,
+/// keeping merge_passes identical to a local run even though shipped runs
+/// arrive as in-memory bytes.
 template <typename In, typename MidK, typename MidV, typename Out>
 Status ExecuteSortedReduceTask(const JobSpec<In, MidK, MidV, Out>& spec,
                                size_t p,
@@ -853,6 +807,39 @@ struct RemotePhaseSpec {
   size_t local_workers = 0;
 };
 
+/// The JobSetupMsg every admitted ddp_worker installs for `phase` (0 = map,
+/// 1 = reduce) of `spec`: the registered job, its context blob, and every
+/// knob a fork closure would have captured. Both phases are built here, so
+/// a chaos knob cannot reach one phase and miss the other.
+template <typename In, typename MidK, typename MidV, typename Out>
+JobSetupMsg MakePhaseSetup(const JobSpec<In, MidK, MidV, Out>& spec,
+                           const Options& options, uint32_t phase) {
+  JobSetupMsg setup;
+  setup.job_id = spec.remote_task_id;
+  setup.job_name = spec.name;
+  setup.phase = phase;
+  if (spec.remote_ctx) {
+    BufferWriter cw(&setup.ctx);
+    spec.remote_ctx(&cw);
+  }
+  setup.num_partitions = options.ResolvedPartitions();
+  setup.memory_budget_bytes = options.memory_budget_bytes;
+  setup.spill_dir = options.spill_dir;  // resolved on the worker's host
+  setup.skip_bad_records = options.skip_bad_records;
+  const FaultInjection& faults = options.faults;
+  setup.fault_seed = faults.seed;
+  setup.map_failure_rate = faults.map_failure_rate;
+  setup.reduce_failure_rate = faults.reduce_failure_rate;
+  setup.straggler_rate = faults.straggler_rate;
+  setup.straggler_slowdown = faults.straggler_slowdown;
+  setup.straggler_min_seconds = faults.straggler_min_seconds;
+  setup.corruption_rate = faults.corruption_rate;
+  setup.worker_crash_rate = faults.worker_crash_rate;
+  setup.poison_task_rate = faults.poison_task_rate;
+  setup.channel_drop_rate = faults.channel_drop_rate;
+  return setup;
+}
+
 /// The per-phase task scheduler — the "job tracker" of this runtime. Runs
 /// `num_tasks` tasks on `pool`, each via `body(task, cancel, &out)`:
 ///
@@ -905,7 +892,6 @@ Status RunRobustPhase(ThreadPool* pool, size_t num_tasks, int phase,
     std::vector<Running> running;
   };
 
-  const FaultInjection& faults = options.faults;
   const double deadline = options.task_deadline_seconds;
   const char* phase_name = phase == 0 ? "map" : "reduce";
 
@@ -990,20 +976,9 @@ Status RunRobustPhase(ThreadPool* pool, size_t num_tasks, int phase,
                                        " function threw a non-std exception");
           ev.exception = true;
         }
-        if (ev.status.ok() &&
-            ShouldInjectFailure(faults, failure_rate, job_name, phase, t,
-                                attempt)) {
-          ev.status = Status::Internal("injected task failure");
-        }
-        if (ev.status.ok() &&
-            ShouldInjectFailure(faults, faults.straggler_rate, job_name,
-                                phase + 4, t, attempt)) {
-          const double dawdle =
-              std::max(faults.straggler_min_seconds,
-                       watch.ElapsedSeconds() *
-                           std::max(0.0, faults.straggler_slowdown - 1.0));
-          cancel->WaitFor(dawdle);
-        }
+        ev.status = RollAttemptChaos(std::move(ev.status), options.faults,
+                                     failure_rate, job_name, phase, t, attempt,
+                                     watch, cancel.get());
         ev.seconds = watch.ElapsedSeconds();
         // An overdue attempt reports DeadlineExceeded whether it noticed by
         // itself or was woken by the monitor's Cancel (which would otherwise
@@ -1402,20 +1377,13 @@ Result<std::vector<Out>> RunJob(const JobSpec<In, MidK, MidV, Out>& spec,
                                                : "fork->inproc");
   }
 
-  // ---- Map phase: split input into tasks, emit into per-partition buffers.
-  // With a memory budget, `buffers` holds only the sorted in-memory tails
-  // and `runs` references the sorted runs spilled to disk; the RAII file
-  // handles inside the runs unlink the spill files when map_outputs dies.
+  // ---- Map phase: split input into tasks, emit into per-partition sorted
+  // tails (`buffers`) plus, under a memory budget, sorted runs spilled to
+  // disk (`runs`); the RAII file handles inside the runs unlink the spill
+  // files when map_outputs dies. The spill run is also the unit of shuffle
+  // transfer for fork and remote workers.
   using MapOutput = internal::MapTaskOutput;
   const bool spilling = options.memory_budget_bytes > 0;
-  // Fork-mode map output is always sorted runs and tails, budget or not:
-  // the spill segment is the unit of shuffle transfer, so workers emit
-  // through the spilling buffer (which, under no budget, never touches disk
-  // — it just key-sorts each partition into an in-memory tail) and the
-  // reduce side merge-streams. Bit-identical to the concat+stable_sort path
-  // by the determinism contract in spill.h. Reset alongside fork_phases if
-  // the supervisor reports fork execution unavailable (no task has run).
-  bool sorted_shuffle = spilling || fork_phases;
   const std::string spill_dir =
       spilling ? internal::ResolveSpillDir(options.spill_dir) : std::string();
   if (spilling) {
@@ -1442,8 +1410,8 @@ Result<std::vector<Out>> RunJob(const JobSpec<In, MidK, MidV, Out>& spec,
         const size_t end = split.End(t);
         return internal::ExecuteMapTask(
             spec, input.subspan(begin, end - begin), t, num_partitions,
-            options.faults, sorted_shuffle, options.memory_budget_bytes,
-            spill_dir, cancel, out);
+            options.faults, options.memory_budget_bytes, spill_dir, cancel,
+            out);
       };
 
   auto inject_map_runs = [num_partitions](std::vector<CommittedRun> runs,
@@ -1459,30 +1427,9 @@ Result<std::vector<Out>> RunJob(const JobSpec<In, MidK, MidV, Out>& spec,
   internal::RemotePhaseSpec map_remote;
   if constexpr (has_serde_v<In>) {
     if (remote_phases) {
-      JobSetupMsg setup;
-      setup.job_id = spec.remote_task_id;
-      setup.job_name = spec.name;
-      setup.phase = 0;
-      if (spec.remote_ctx) {
-        BufferWriter cw(&setup.ctx);
-        spec.remote_ctx(&cw);
-      }
-      setup.num_partitions = num_partitions;
-      setup.memory_budget_bytes = options.memory_budget_bytes;
-      setup.spill_dir = options.spill_dir;  // resolved on the worker's host
-      setup.skip_bad_records = options.skip_bad_records;
-      setup.fault_seed = options.faults.seed;
-      setup.map_failure_rate = options.faults.map_failure_rate;
-      setup.reduce_failure_rate = options.faults.reduce_failure_rate;
-      setup.straggler_rate = options.faults.straggler_rate;
-      setup.straggler_slowdown = options.faults.straggler_slowdown;
-      setup.straggler_min_seconds = options.faults.straggler_min_seconds;
-      setup.corruption_rate = options.faults.corruption_rate;
-      setup.worker_crash_rate = options.faults.worker_crash_rate;
-      setup.poison_task_rate = options.faults.poison_task_rate;
-      setup.channel_drop_rate = options.faults.channel_drop_rate;
       map_remote.pool = options.remote_pool;
-      map_remote.setup = setup.Encode();
+      map_remote.setup =
+          internal::MakePhaseSetup(spec, options, /*phase=*/0).Encode();
       map_remote.local_workers = options.remote_local_workers;
       map_remote.task_input = [&input, split](size_t t)
           -> Result<std::string> {
@@ -1512,7 +1459,6 @@ Result<std::vector<Out>> RunJob(const JobSpec<In, MidK, MidV, Out>& spec,
       ++counters.exec_fallbacks;
       fork_phases = false;
       remote_phases = false;
-      sorted_shuffle = spilling;  // no task ran; back to the in-proc shape
     } else {
       map_forked = true;
     }
@@ -1540,55 +1486,19 @@ Result<std::vector<Out>> RunJob(const JobSpec<In, MidK, MidV, Out>& spec,
 
   // ---- Shuffle. Byte counters report payload (key/value encodings),
   // excluding frame headers and injected poison, so they stay comparable to
-  // the paper's figures. On the in-memory path, task buffers are
-  // concatenated per partition; a partition with a single non-empty source
-  // steals that buffer instead of copying it. On the spill path there is
-  // nothing to concatenate: reduce merge-streams straight out of the map
-  // outputs' runs and tails.
+  // the paper's figures. There is nothing to move: reduce merge-streams
+  // straight out of the map outputs' runs and tails.
   Stopwatch shuffle_timer;
   DDP_TRACE_SPAN(shuffle_span, obs::kCatMr, obs::kSpanShufflePhase);
   if (shuffle_span.active()) shuffle_span.AddArg("job", spec.name);
-  std::vector<std::string> partitions(sorted_shuffle ? 0 : num_partitions);
-  {
-    std::vector<uint64_t> payload_sizes(num_partitions, 0);
+  for (size_t p = 0; p < num_partitions; ++p) {
+    uint64_t partition_bytes = 0;
     for (const MapOutput& mo : map_outputs) {
-      for (size_t p = 0; p < num_partitions; ++p) {
-        payload_sizes[p] += mo.payload_bytes[p];
-      }
+      partition_bytes += mo.payload_bytes[p];
     }
-    for (size_t p = 0; p < num_partitions; ++p) {
-      counters.shuffle_bytes += payload_sizes[p];
-      counters.max_partition_bytes =
-          std::max<uint64_t>(counters.max_partition_bytes, payload_sizes[p]);
-    }
-    if (!sorted_shuffle) {
-      for (size_t p = 0; p < num_partitions; ++p) {
-        size_t sources = 0;
-        size_t raw = 0;
-        std::string* only = nullptr;
-        for (MapOutput& mo : map_outputs) {
-          if (!mo.buffers[p].empty()) {
-            ++sources;
-            raw += mo.buffers[p].size();
-            only = &mo.buffers[p];
-          }
-        }
-        if (sources == 1) {
-          counters.shuffle_moved_bytes += raw;
-          partitions[p] = std::move(*only);
-        } else if (sources > 1) {
-          counters.shuffle_copied_bytes += raw;
-          partitions[p].reserve(raw);
-          for (const MapOutput& mo : map_outputs) {
-            partitions[p] += mo.buffers[p];
-          }
-        }
-        for (MapOutput& mo : map_outputs) {
-          mo.buffers[p].clear();
-          mo.buffers[p].shrink_to_fit();
-        }
-      }
-    }
+    counters.shuffle_bytes += partition_bytes;
+    counters.max_partition_bytes =
+        std::max<uint64_t>(counters.max_partition_bytes, partition_bytes);
   }
   counters.shuffle_records = counters.map_output_records;
   counters.shuffle_seconds = shuffle_timer.ElapsedSeconds();
@@ -1604,10 +1514,12 @@ Result<std::vector<Out>> RunJob(const JobSpec<In, MidK, MidV, Out>& spec,
                              " cancelled at the map/reduce boundary");
   }
 
-  // ---- Reduce phase: per partition, deserialize, sort-group, reduce.
-  // Deserialization lives inside the attempt (a lost Hadoop reduce task
-  // re-fetches its shuffle input too), so retries and speculative attempts
-  // are self-contained.
+  // ---- Reduce phase: per partition, stream a k-way merge over its sorted
+  // runs and in-memory tails, in (map task id, spill index, tail) source
+  // order, so key ties keep (map task id, emission index) order. Readers
+  // are opened inside the attempt (a lost Hadoop reduce task re-fetches its
+  // shuffle input too), and map_outputs is read-only here, so retries and
+  // speculative attempts share it safely.
   using ReduceOutput = internal::ReduceTaskOutput<Out>;
   Stopwatch reduce_timer;
   DDP_TRACE_SPAN(reduce_span, obs::kCatMr, obs::kSpanReducePhase);
@@ -1621,91 +1533,23 @@ Result<std::vector<Out>> RunJob(const JobSpec<In, MidK, MidV, Out>& spec,
   const bool skip_bad = options.skip_bad_records;
   auto reduce_body =
       [&](size_t p, CancelToken* cancel, ReduceOutput* out) -> Status {
-        if (sorted_shuffle) {
-          // Out-of-core path: stream a k-way merge over this partition's
-          // sorted runs and in-memory tails, in (map task id, spill index,
-          // tail) source order so key ties reproduce the stable-sorted
-          // (map task id, emission index) order of the in-memory path.
-          // map_outputs is read-only here, so concurrent reduce attempts
-          // (retries, speculation) can share it safely.
-          std::vector<std::unique_ptr<FrameStream>> sources;
-          bool any_run = false;
-          for (const MapOutput& mo : map_outputs) {
-            for (const SpillRun& run : mo.runs) {
-              if (run.partition == p) {
-                sources.push_back(std::make_unique<SpillSegmentReader>(
-                    run.file, run.offset, run.length));
-                any_run = true;
-              }
-            }
-            if (!mo.buffers[p].empty()) {
-              sources.push_back(
-                  std::make_unique<MemoryFrameReader>(mo.buffers[p]));
+        std::vector<std::unique_ptr<FrameStream>> sources;
+        bool any_run = false;
+        for (const MapOutput& mo : map_outputs) {
+          for (const SpillRun& run : mo.runs) {
+            if (run.partition == p) {
+              sources.push_back(std::make_unique<SpillSegmentReader>(
+                  run.file, run.offset, run.length));
+              any_run = true;
             }
           }
-          return internal::ExecuteSortedReduceTask(
-              spec, p, std::move(sources), any_run, skip_bad, cancel, out);
+          if (!mo.buffers[p].empty()) {
+            sources.push_back(
+                std::make_unique<MemoryFrameReader>(mo.buffers[p]));
+          }
         }
-        BufferReader reader(partitions[p]);
-        std::vector<std::pair<MidK, MidV>> pairs;
-        size_t frame = 0;
-        while (!reader.exhausted()) {
-          if ((frame++ & 1023u) == 0 && cancel->cancelled()) {
-            return Status::Cancelled("reduce attempt abandoned");
-          }
-          uint64_t len = 0;
-          Status st = reader.GetVarint64(&len);
-          BufferReader rec(nullptr, size_t{0});
-          if (st.ok()) st = reader.Slice(len, &rec);
-          if (!st.ok()) {
-            // A broken frame header loses record boundaries; even
-            // skip_bad_records cannot re-sync past it.
-            return Status::IoError("reduce partition " + std::to_string(p) +
-                                   ": corrupt shuffle framing: " +
-                                   st.message());
-          }
-          std::pair<MidK, MidV> kv;
-          st = Serde<MidK>::Read(&rec, &kv.first);
-          if (st.ok()) st = Serde<MidV>::Read(&rec, &kv.second);
-          if (st.ok() && !rec.exhausted()) {
-            st = Status::IoError("record decoded short of its frame");
-          }
-          if (!st.ok()) {
-            if (skip_bad) {
-              ++out->skipped;
-              continue;
-            }
-            return Status::IoError("reduce partition " + std::to_string(p) +
-                                   ": bad record: " + st.message());
-          }
-          pairs.push_back(std::move(kv));
-        }
-        std::stable_sort(pairs.begin(), pairs.end(),
-                         [](const auto& a, const auto& b) {
-                           return KeyTraits<MidK>::Less(a.first, b.first);
-                         });
-        size_t i = 0;
-        std::vector<MidV> values;
-        while (i < pairs.size()) {
-          if (cancel->cancelled()) {
-            return Status::Cancelled("reduce attempt abandoned");
-          }
-          size_t j = i + 1;
-          while (j < pairs.size() && pairs[j].first == pairs[i].first) ++j;
-          values.clear();
-          values.reserve(j - i);
-          for (size_t k = i; k < j; ++k) values.push_back(pairs[k].second);
-          spec.reduce(pairs[i].first, values, &out->out);
-          ++out->groups;
-          const size_t bucket =
-              static_cast<size_t>(std::bit_width(j - i)) - 1;
-          if (out->group_size_log2.size() <= bucket) {
-            out->group_size_log2.resize(bucket + 1, 0);
-          }
-          ++out->group_size_log2[bucket];
-          i = j;
-        }
-        return Status::OK();
+        return internal::ExecuteSortedReduceTask(
+            spec, p, std::move(sources), any_run, skip_bad, cancel, out);
       };
 
   Status reduce_status;
@@ -1733,30 +1577,9 @@ Result<std::vector<Out>> RunJob(const JobSpec<In, MidK, MidV, Out>& spec,
       // reduce.
       internal::RemotePhaseSpec reduce_remote;
       if (remote_phases) {
-        JobSetupMsg setup;
-        setup.job_id = spec.remote_task_id;
-        setup.job_name = spec.name;
-        setup.phase = 1;
-        if (spec.remote_ctx) {
-          BufferWriter cw(&setup.ctx);
-          spec.remote_ctx(&cw);
-        }
-        setup.num_partitions = num_partitions;
-        setup.memory_budget_bytes = options.memory_budget_bytes;
-        setup.spill_dir = options.spill_dir;
-        setup.skip_bad_records = options.skip_bad_records;
-        setup.fault_seed = options.faults.seed;
-        setup.map_failure_rate = options.faults.map_failure_rate;
-        setup.reduce_failure_rate = options.faults.reduce_failure_rate;
-        setup.straggler_rate = options.faults.straggler_rate;
-        setup.straggler_slowdown = options.faults.straggler_slowdown;
-        setup.straggler_min_seconds = options.faults.straggler_min_seconds;
-        setup.corruption_rate = options.faults.corruption_rate;
-        setup.worker_crash_rate = options.faults.worker_crash_rate;
-        setup.poison_task_rate = options.faults.poison_task_rate;
-        setup.channel_drop_rate = options.faults.channel_drop_rate;
         reduce_remote.pool = options.remote_pool;
-        reduce_remote.setup = setup.Encode();
+        reduce_remote.setup =
+            internal::MakePhaseSetup(spec, options, /*phase=*/1).Encode();
         reduce_remote.local_workers = options.remote_local_workers;
         reduce_remote.task_input = [&map_outputs](size_t p)
             -> Result<std::string> {
@@ -1824,8 +1647,6 @@ Result<std::vector<Out>> RunJob(const JobSpec<In, MidK, MidV, Out>& spec,
     job_span.MarkCancelled();
     return reduce_status;
   }
-  partitions.clear();
-  partitions.shrink_to_fit();
   // Dropping the map outputs releases the spill-run handles: the last
   // reference to each spill file unlinks it, so the spill dir is empty again
   // once the job's reduce phase is done.

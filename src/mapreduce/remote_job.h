@@ -25,8 +25,8 @@ namespace ddp {
 namespace mr {
 
 /// Builds the TaskRunner serving one installed job: phase 0 decodes a
-/// by-value input slice and runs the map body (always sorted-shuffle — the
-/// spill run is the unit of transfer back to the supervisor); phase 1
+/// by-value input slice and runs the map body (its sorted runs and tails
+/// stream back to the supervisor as spill runs); phase 1
 /// decodes the partition's (is_run, frame bytes) sources and merge-reduces
 /// them. The spec is shared, not copied, into the per-task closures.
 template <typename In, typename MidK, typename MidV, typename Out>
@@ -78,10 +78,9 @@ JobRegistry::TaskRunner MakeRegisteredRunner(
       }
       auto body = [&](size_t t, CancelToken* cancel,
                       internal::MapTaskOutput* out) -> Status {
-        return internal::ExecuteMapTask(
-            *spec, std::span<const In>(slice), t, num_partitions,
-            chaos.faults, /*sorted_shuffle=*/true, budget, spill_dir, cancel,
-            out);
+        return internal::ExecuteMapTask(*spec, std::span<const In>(slice), t,
+                                        num_partitions, chaos.faults, budget,
+                                        spill_dir, cancel, out);
       };
       return internal::RunWorkerAttempt<internal::MapTaskOutput>(
           chaos, static_cast<size_t>(task), static_cast<size_t>(attempt),

@@ -18,28 +18,29 @@
 #include "obs/trace.h"
 
 /// \file spill.h
-/// The out-of-core execution subsystem of the MapReduce runtime, modeled on
-/// Hadoop's IFile/merge machinery. With a memory budget configured
-/// (`mr::Options::memory_budget_bytes > 0`), a map task no longer holds its
-/// whole intermediate output in RAM:
+/// The shuffle of the MapReduce runtime, modeled on Hadoop's IFile/merge
+/// machinery. Every job, on every substrate, shuffles through it:
 ///
 ///  * `SpillingBuffer` accumulates serialized (key, value) frames per reduce
-///    partition; when the buffered payload bytes exceed the budget it
-///    key-sorts each partition's in-memory segment (stably, preserving
-///    emission order within equal keys) and flushes it to a spill file as a
-///    sorted run. One spill writes one file holding one CRC32-trailed run
-///    per non-empty partition, exactly like Hadoop's spill files + index.
-///  * The reduce side replaces "decode everything, then stable_sort" with
-///    `MergingGroupReader`: a streaming k-way merge over that partition's
-///    sorted runs plus each task's in-memory tail segment, feeding reduce
-///    one key-group at a time without ever materializing the partition.
+///    partition. Each partition's frames are key-sorted (stably, preserving
+///    emission order within equal keys) when they leave the buffer. Under a
+///    memory budget (`mr::Options::memory_budget_bytes > 0`), whenever the
+///    buffered payload bytes exceed the budget it flushes every partition to
+///    a spill file as a sorted run: one spill writes one file holding one
+///    CRC32-trailed run per non-empty partition, exactly like Hadoop's spill
+///    files + index. A budget of 0 never spills: the task's whole output
+///    stays in memory as sorted per-partition tails.
+///  * The reduce side is `MergingGroupReader`: a streaming k-way merge over
+///    that partition's sorted runs plus each task's in-memory tail, feeding
+///    reduce one key-group at a time without ever materializing the
+///    partition. Budget 0 is the same merge over tails only.
 ///
-/// Determinism contract: the merged stream is bit-identical to the
-/// in-memory path. Sources are ordered (map task id, spill index, tail) and
-/// the merge breaks key ties by source ordinal, which reproduces exactly
-/// the (map task id, emission index) order a stable sort over the
-/// concatenated partition yields — spills within a task always hold earlier
-/// emissions than later spills and the tail.
+/// Determinism contract: the merged stream is the stable key-sort of the
+/// partition's records in (map task id, emission index) order, at every
+/// budget. Sources are ordered (map task id, spill index, tail) and the
+/// merge breaks key ties by source ordinal; spills within a task always hold
+/// earlier emissions than later spills and the tail, so where the budget
+/// cuts a task's output into runs cannot change a byte.
 ///
 /// Spill files are owned by RAII handles: a failed, cancelled, or
 /// speculative-loser attempt unlinks its files when its emitter is
@@ -233,12 +234,14 @@ uint64_t NextSpillFileId();
 /// The calling process's ownership tag for spill file names: "p<pid>".
 std::string SpillOwnerTag();
 
-/// Map-side memory-budgeted buffer. Serializes every (key, value) into a
-/// length-framed payload, keeps (decoded key, payload) pairs per partition,
-/// and spills sorted runs whenever the buffered payload bytes reach the
-/// budget. A task that never hit the budget keeps its output in sorted
-/// in-memory segments (`tails()`) and never touches disk; a task that
-/// spilled flushes its remainder as a final run at Finish(). `Traits`
+/// Map-side shuffle buffer. Appends every (key, value) as a length-framed
+/// record to one byte segment per partition and keeps a {key, offset,
+/// length} index beside it; sorting moves index entries, never bytes, and
+/// frames are gathered from the segment in key order when a partition is
+/// written out. Spills sorted runs whenever the buffered payload bytes reach
+/// the budget (0 = never spill). A task that never spilled keeps its output
+/// in sorted in-memory segments (`tails()`) and never touches disk; a task
+/// that spilled flushes its remainder as a final run at Finish(). `Traits`
 /// supplies Hash/Less for the key (mr::KeyTraits in practice).
 template <typename MidK, typename MidV, typename Traits>
 class SpillingBuffer {
@@ -248,7 +251,8 @@ class SpillingBuffer {
       : budget_bytes_(budget_bytes),
         dir_(std::move(spill_dir)),
         prefix_(std::move(file_prefix)),
-        pending_(num_partitions),
+        segments_(num_partitions),
+        index_(num_partitions),
         poison_(num_partitions, 0),
         payload_bytes_(num_partitions, 0),
         tails_(num_partitions) {}
@@ -259,10 +263,15 @@ class SpillingBuffer {
     BufferWriter rec(&scratch_);
     Serde<MidK>::Write(&rec, key);
     Serde<MidV>::Write(&rec, value);
-    const size_t p = Traits::Hash(key) % pending_.size();
+    const size_t p = Traits::Hash(key) % segments_.size();
+    std::string& segment = segments_[p];
+    const size_t offset = segment.size();
+    BufferWriter frame(&segment);
+    frame.PutVarint64(scratch_.size());
+    frame.PutRaw(scratch_.data(), scratch_.size());
+    index_[p].push_back({key, offset, segment.size() - offset});
     payload_bytes_[p] += scratch_.size();
     buffered_bytes_ += scratch_.size();
-    pending_[p].push_back({key, scratch_});
     ++records_;
     if (budget_bytes_ > 0 && buffered_bytes_ >= budget_bytes_) {
       status_ = Spill();
@@ -271,28 +280,31 @@ class SpillingBuffer {
 
   /// Queues an undecodable frame for partition `p` (shuffle-corruption
   /// injection). Poison carries no key, so it rides at the end of the next
-  /// run (or the tail) and does not count against the budget.
+  /// run (or the tail) and does not count against the budget. Its payload
+  /// is well-formed at the framing layer, so skip_bad_records can step over
+  /// it, but can never decode as a record: 0xff is an unterminated varint
+  /// and too short for any fixed-width field.
   void AddPoisonFrame(size_t p) { ++poison_[p]; }
 
   /// Seals the buffer; call once, after the last Add/AddPoisonFrame.
-  /// A task that never hit the budget sorts and encodes its output into
-  /// in-memory tail segments; a task that spilled flushes the remainder as
-  /// a final spill (Hadoop's close-time flush), so its entire output —
-  /// poison frames included — lives in sorted runs on disk. Returns the
-  /// first deferred spill error.
+  /// A task that never hit the budget sorts its output into in-memory tail
+  /// segments; a task that spilled flushes the remainder as a final spill
+  /// (Hadoop's close-time flush), so its entire output — poison frames
+  /// included — lives in sorted runs on disk. Returns the first deferred
+  /// spill error.
   Status Finish() {
     if (!status_.ok()) return status_;
     if (spill_count_ > 0) return Spill();
-    for (size_t p = 0; p < pending_.size(); ++p) {
+    for (size_t p = 0; p < segments_.size(); ++p) {
       SortPartition(p);
-      BufferWriter out(&tails_[p]);
-      for (const Pending& rec : pending_[p]) {
-        out.PutVarint64(rec.payload.size());
-        out.PutRaw(rec.payload.data(), rec.payload.size());
+      tails_[p].reserve(segments_[p].size());
+      for (const Entry& e : index_[p]) {
+        tails_[p].append(segments_[p], e.offset, e.length);
       }
+      BufferWriter out(&tails_[p]);
       AppendPoison(&out, p);
-      pending_[p].clear();
-      pending_[p].shrink_to_fit();
+      std::string().swap(segments_[p]);
+      std::vector<Entry>().swap(index_[p]);
     }
     return Status::OK();
   }
@@ -307,14 +319,19 @@ class SpillingBuffer {
   double spill_seconds() const { return spill_seconds_; }
 
  private:
-  struct Pending {
+  /// One buffered record: its key and its frame's byte extent within the
+  /// partition segment.
+  struct Entry {
     MidK key;
-    std::string payload;
+    size_t offset;
+    size_t length;
   };
 
+  /// Stable-sorts partition `p`'s index by key: equal keys keep emission
+  /// order.
   void SortPartition(size_t p) {
-    std::stable_sort(pending_[p].begin(), pending_[p].end(),
-                     [](const Pending& a, const Pending& b) {
+    std::stable_sort(index_[p].begin(), index_[p].end(),
+                     [](const Entry& a, const Entry& b) {
                        return Traits::Less(a.key, b.key);
                      });
   }
@@ -329,8 +346,8 @@ class SpillingBuffer {
 
   Status Spill() {
     bool any = false;
-    for (size_t p = 0; p < pending_.size(); ++p) {
-      if (!pending_[p].empty() || poison_[p] > 0) any = true;
+    for (size_t p = 0; p < segments_.size(); ++p) {
+      if (!index_[p].empty() || poison_[p] > 0) any = true;
     }
     if (!any) return Status::OK();
     Stopwatch watch;
@@ -341,28 +358,25 @@ class SpillingBuffer {
             dir_, prefix_ + "-" + SpillOwnerTag() + "-u" +
                       std::to_string(NextSpillFileId()) + "-s" +
                       std::to_string(spill_count_) + ".spill"));
-    std::string frame;
-    for (size_t p = 0; p < pending_.size(); ++p) {
-      if (pending_[p].empty() && poison_[p] == 0) continue;
+    std::string poison;
+    for (size_t p = 0; p < segments_.size(); ++p) {
+      if (index_[p].empty() && poison_[p] == 0) continue;
       SortPartition(p);
       writer->BeginRun();
-      for (const Pending& rec : pending_[p]) {
-        frame.clear();
-        BufferWriter hdr(&frame);
-        hdr.PutVarint64(rec.payload.size());
-        writer->Append(frame.data(), frame.size());
-        writer->Append(rec.payload.data(), rec.payload.size());
+      for (const Entry& e : index_[p]) {
+        writer->Append(segments_[p].data() + e.offset, e.length);
       }
       if (poison_[p] > 0) {
-        frame.clear();
-        BufferWriter poison(&frame);
-        AppendPoison(&poison, p);
-        writer->Append(frame.data(), frame.size());
+        poison.clear();
+        BufferWriter out(&poison);
+        AppendPoison(&out, p);
+        writer->Append(poison.data(), poison.size());
       }
       DDP_ASSIGN_OR_RETURN(SpillExtent extent, writer->EndRun());
       runs_.push_back(SpillRun{writer->handle(), static_cast<uint32_t>(p),
                                spill_count_, extent.offset, extent.length});
-      pending_[p].clear();
+      segments_[p].clear();
+      index_[p].clear();
     }
     const uint64_t written = writer->bytes_written();
     spilled_bytes_ += written;
@@ -384,7 +398,8 @@ class SpillingBuffer {
   const uint64_t budget_bytes_;
   const std::string dir_;
   const std::string prefix_;
-  std::vector<std::vector<Pending>> pending_;
+  std::vector<std::string> segments_;
+  std::vector<std::vector<Entry>> index_;
   std::vector<uint64_t> poison_;
   std::vector<uint64_t> payload_bytes_;
   std::vector<std::string> tails_;
@@ -402,10 +417,10 @@ class SpillingBuffer {
 /// Streaming k-way merge over key-sorted frame streams, yielding one key
 /// group at a time. Sources must be passed in (map task id, spill index,
 /// tail) order; key ties break by source ordinal, which together with each
-/// source's internal stability reproduces the in-memory path's
-/// stable-sorted order exactly. Undecodable frames are skipped and counted
-/// when `skip_bad_records` is set, otherwise they abort with IoError —
-/// identical semantics to the in-memory decode loop.
+/// source's internal stability yields the stable key-sort of the partition
+/// in (map task id, emission index) order. Undecodable frames are skipped
+/// and counted when `skip_bad_records` is set, otherwise they abort with
+/// IoError.
 template <typename MidK, typename MidV, typename Traits>
 class MergingGroupReader {
  public:

@@ -264,12 +264,16 @@ TEST(MapReduceTest, ShuffleBytesScaleWithPayload) {
   };
   std::vector<int> input(100);
   std::iota(input.begin(), input.end(), 0);
+  // Pinned split shape (15 map tasks of <= 7 records, 16 partitions)
+  // instead of the host's core count.
+  Options options;
+  options.num_workers = 4;
   JobCounters narrow, wide;
-  ASSERT_TRUE(RunJob(make_spec(10), std::span<const int>(input), Options{},
+  ASSERT_TRUE(RunJob(make_spec(10), std::span<const int>(input), options,
                      &narrow)
                   .ok());
   ASSERT_TRUE(
-      RunJob(make_spec(20), std::span<const int>(input), Options{}, &wide)
+      RunJob(make_spec(20), std::span<const int>(input), options, &wide)
           .ok());
   EXPECT_GT(wide.shuffle_bytes, narrow.shuffle_bytes);
   // 100 records x 10 extra doubles x 8 bytes = 8000 extra bytes exactly.

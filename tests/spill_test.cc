@@ -1,19 +1,26 @@
-// Out-of-core execution tests: the spill/merge subsystem (mapreduce/spill.h)
-// and its RunJob integration. The load-bearing property is the determinism
-// contract — every memory budget, including ones forcing many spill runs per
-// map task, must produce byte-for-byte the output of the all-in-memory path,
-// with and without chaos (poisoned records, task retries, checkpoint
-// kill/resume) layered on top. Spill files must also never leak: the spill
-// dir is empty again once a job (or a failed attempt) is done with it.
+// Shuffle tests: the sort/spill/merge subsystem (mapreduce/spill.h) and its
+// RunJob integration. The load-bearing property is the determinism contract:
+// at every memory budget — 0 (sorted in-memory tails only) as well as ones
+// forcing many spill runs per map task — and on every substrate, reduce sees
+// exactly the stable key-sort of the map emissions in (map task, emission
+// index) order. `OracleShuffle` below computes that reference directly from
+// `map`, without RunJob; the rest of the suite checks budgets against each
+// other with chaos (poisoned records, task retries, checkpoint kill/resume)
+// layered on top. Spill files must also never leak: the spill dir is empty
+// again once a job (or a failed attempt) is done with it.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dataset/generators.h"
@@ -322,6 +329,139 @@ TEST(SpillRunJobTest, SpeculativeAttemptsShareSpillDirSafely) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(*result, *clean);
   EXPECT_EQ(guard.FileCount(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The shuffle against a test-local oracle: run `map` over the input in order,
+// stable-sort the emissions by (partition, KeyTraits::Less), and group. The
+// reduce below outputs each key's values in arrival order, so any change in
+// the (map task, emission index) tie order — or in output order — shows.
+
+template <typename K>
+using ArrivalRow = std::pair<K, std::vector<int32_t>>;
+
+template <typename K>
+class CollectingEmitter : public Emitter<K, int32_t> {
+ public:
+  void Emit(const K& key, const int32_t& value) override {
+    pairs.emplace_back(key, value);
+  }
+  std::vector<std::pair<K, int32_t>> pairs;
+};
+
+template <typename K>
+std::vector<ArrivalRow<K>> OracleShuffle(
+    const JobSpec<int32_t, K, int32_t, ArrivalRow<K>>& spec,
+    const std::vector<int32_t>& input, size_t num_partitions) {
+  CollectingEmitter<K> emitted;
+  for (int32_t v : input) spec.map(v, &emitted);
+  auto partition = [num_partitions](const K& k) {
+    return KeyTraits<K>::Hash(k) % num_partitions;
+  };
+  std::stable_sort(emitted.pairs.begin(), emitted.pairs.end(),
+                   [&](const auto& a, const auto& b) {
+                     const size_t pa = partition(a.first);
+                     const size_t pb = partition(b.first);
+                     if (pa != pb) return pa < pb;
+                     return KeyTraits<K>::Less(a.first, b.first);
+                   });
+  std::vector<ArrivalRow<K>> rows;
+  for (const auto& [key, value] : emitted.pairs) {
+    if (rows.empty() || !(rows.back().first == key)) rows.push_back({key, {}});
+    rows.back().second.push_back(value);
+  }
+  return rows;
+}
+
+template <typename K>
+JobSpec<int32_t, K, int32_t, ArrivalRow<K>> ArrivalOrderSpec(
+    std::function<void(const int32_t&, Emitter<K, int32_t>*)> map) {
+  JobSpec<int32_t, K, int32_t, ArrivalRow<K>> spec;
+  spec.name = "arrival-order";
+  spec.map = std::move(map);
+  spec.reduce = [](const K& key, std::span<const int32_t> values,
+                   std::vector<ArrivalRow<K>>* out) {
+    out->push_back({key, std::vector<int32_t>(values.begin(), values.end())});
+  };
+  return spec;
+}
+
+// Sweeps budget x workers x combiner (plus fork mode where available) and
+// checks every run against the oracle. The combiner is the identity: it
+// regroups each map task's values per key, which must not reorder them.
+template <typename K>
+void ExpectShuffleMatchesOracle(
+    const std::string& label,
+    std::function<void(const int32_t&, Emitter<K, int32_t>*)> map) {
+  SpillDirGuard guard("ddp_spill_oracle_" + label);
+  std::vector<int32_t> input(1500);
+  for (size_t i = 0; i < input.size(); ++i) {
+    input[i] = static_cast<int32_t>(i * 13 % 1009);
+  }
+  auto spec = ArrivalOrderSpec<K>(std::move(map));
+  auto combined = spec;
+  combined.combiner = [](const K&, std::vector<int32_t> values) {
+    return values;
+  };
+
+  std::vector<ExecMode> modes = {ExecMode::kInProc};
+  if (ForkExecutionSupported()) modes.push_back(ExecMode::kFork);
+  for (ExecMode mode : modes) {
+    const std::vector<size_t> worker_counts =
+        mode == ExecMode::kFork ? std::vector<size_t>{2}
+                                : std::vector<size_t>{1, 2, 4};
+    for (size_t workers : worker_counts) {
+      Options options;
+      options.num_workers = workers;
+      options.exec_mode = mode;
+      options.spill_dir = guard.dir();
+      const auto expected =
+          OracleShuffle(spec, input, options.ResolvedPartitions());
+      for (uint64_t budget : {uint64_t{0}, uint64_t{256}, uint64_t{4096}}) {
+        options.memory_budget_bytes = budget;
+        for (const auto* job : {&spec, &combined}) {
+          const std::string where =
+              label + " mode=" + std::to_string(static_cast<int>(mode)) +
+              " workers=" + std::to_string(workers) +
+              " budget=" + std::to_string(budget) +
+              " combiner=" + (job->combiner ? "on" : "off");
+          JobCounters counters;
+          auto result = RunJob(*job, std::span<const int32_t>(input), options,
+                               &counters);
+          ASSERT_TRUE(result.ok()) << where << ": "
+                                   << result.status().ToString();
+          EXPECT_EQ(*result, expected) << where;
+          EXPECT_EQ(counters.exec_fallbacks, 0u) << where;
+          if (budget == 0) {
+            EXPECT_EQ(counters.spill_files, 0u) << where;
+          } else if (budget == 256) {
+            EXPECT_GT(counters.spill_files, 0u) << where;
+          }
+          EXPECT_EQ(guard.FileCount(), 0u) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(ShuffleOracleTest, IntKeysMatchStableSortedEmissions) {
+  ExpectShuffleMatchesOracle<int>(
+      "int", [](const int32_t& v, Emitter<int, int32_t>* out) {
+        out->Emit(v % 13, v);
+        out->Emit(v * 7 % 5, -v);
+        if (v % 3 == 0) out->Emit(0, 2 * v);
+      });
+}
+
+TEST(ShuffleOracleTest, LshBucketKeysMatchStableSortedEmissions) {
+  using BucketKey = std::pair<uint32_t, std::vector<int32_t>>;
+  ExpectShuffleMatchesOracle<BucketKey>(
+      "lsh", [](const int32_t& v, Emitter<BucketKey, int32_t>* out) {
+        // (layout m, bucket signature), as LSH-DDP keys its buckets.
+        for (uint32_t m = 0; m < 3; ++m) {
+          out->Emit({m, {v % 4, (v / 4 + static_cast<int32_t>(m)) % 3}}, v);
+        }
+      });
 }
 
 // ---------------------------------------------------------------------------
