@@ -7,8 +7,8 @@
 
 /// \file host_port.h
 /// Parsing for the `host:port` endpoint notation shared by every TCP knob in
-/// the tree: `--transport=tcp[:host:port]` on ddp_cli, `--listen` on
-/// ddp_server, and `--connect` on ddp_client. The transport layer only
+/// the tree: `--remote-listen` on ddp_cli, `--connect` on ddp_worker and
+/// ddp_client, and `--listen` on ddp_server. The transport layer only
 /// speaks numeric IPv4 (channel.h: supervisors and workers exchange
 /// addresses, not names), so the parser validates the dotted-quad form
 /// rather than deferring to a resolver.

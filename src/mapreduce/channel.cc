@@ -52,7 +52,8 @@ Status DecodeFrame(const std::string& bytes, Frame* frame) {
   DDP_RETURN_NOT_OK(r.GetByte(&type));
   uint64_t len = 0;
   DDP_RETURN_NOT_OK(r.GetVarint64(&len));
-  if (r.remaining() < len + 4) {
+  // `len` is peer-supplied: compare without forming len + 4, which wraps.
+  if (len > r.remaining() || r.remaining() - len < 4) {
     return Status::IoError("truncated channel frame");
   }
   frame->type = static_cast<MessageType>(type);
@@ -167,11 +168,17 @@ Status FdChannel::Recv(Frame* frame, double timeout_seconds) {
     shift += 7;
   }
   frame->type = static_cast<MessageType>(type);
-  frame->payload.resize(static_cast<size_t>(len));
-  if (len > 0) {
+  // `len` is peer-supplied, so it must not drive allocation: the payload
+  // grows as bytes actually arrive, one bounded chunk at a time. A forged
+  // length costs at most one chunk before EOF or the deadline ends it.
+  constexpr uint64_t kRecvChunk = uint64_t{1} << 20;
+  frame->payload.clear();
+  while (frame->payload.size() < len) {
+    const size_t off = frame->payload.size();
+    const size_t n = static_cast<size_t>(std::min(kRecvChunk, len - off));
+    frame->payload.resize(off + n);
     DDP_RETURN_NOT_OK(
-        ReadExact(frame->payload.data(), frame->payload.size(),
-                  body_deadline));
+        ReadExact(frame->payload.data() + off, n, body_deadline));
   }
   uint8_t trailer[4];
   DDP_RETURN_NOT_OK(ReadExact(trailer, sizeof(trailer), body_deadline));
@@ -245,7 +252,7 @@ Result<std::unique_ptr<TcpListener>> TcpListener::Listen(
     return st;
   }
   // Recover the kernel-assigned port when the caller asked for an ephemeral
-  // one — the supervisor hands this number to its forked workers.
+  // one — the number remote workers and clients are told to dial.
   struct sockaddr_in bound;
   socklen_t bound_len = sizeof(bound);
   if (getsockname(fd, reinterpret_cast<struct sockaddr*>(&bound),

@@ -27,17 +27,18 @@
 /// worker ships it as raw kRunData payload bytes — a framed copy of the
 /// file extent, no re-serialization on either side.
 ///
-/// Three transports:
-///  * `PipeChannel` — a socketpair(AF_UNIX, SOCK_STREAM) endpoint; the
-///    default transport between supervisor and forked workers. `Send` is
+/// One transport per substrate, plus a test double:
+///  * `PipeChannel` — a socketpair(AF_UNIX, SOCK_STREAM) endpoint; the only
+///    transport between the supervisor and its forked workers. `Send` is
 ///    mutex guarded so a worker's heartbeat thread and its task loop can
 ///    share the descriptor.
-///  * `TcpChannel`/`TcpListener` — the same framed protocol over TCP, so
-///    the transport is host-transparent: the supervisor listens, workers
-///    connect (with a seeded exponential backoff) and identify themselves
-///    with a kHello frame. Unlike a socketpair, a TCP connection can be
-///    re-established after a drop — the supervisor keeps the worker's
-///    stream state and the worker resends from the last committed run.
+///  * `TcpChannel`/`TcpListener` — the same framed protocol over TCP, the
+///    only transport of exec'd remote workers (remote_worker.h) and of the
+///    serving layer (src/server/): the pool listens, workers connect (with
+///    a seeded exponential backoff) and identify themselves with a kHello
+///    frame. Unlike a socketpair, a TCP connection can be re-established
+///    after a drop — the supervisor keeps the worker's stream state and the
+///    worker resends from the last committed run.
 ///  * `LoopbackChannel` — an in-memory queue pair for protocol tests: what
 ///    one endpoint sends the other receives, byte-for-byte through the same
 ///    encoder/decoder as the descriptor paths.
@@ -84,14 +85,6 @@ enum class MessageType : uint8_t {
 struct Frame {
   MessageType type = MessageType::kHello;
   std::string payload;
-};
-
-/// Which concrete channel carries supervisor<->worker traffic. The framed
-/// protocol is transport-independent; only connection lifecycle differs
-/// (a socketpair cannot be re-established, TCP can).
-enum class Transport {
-  kPipe,  // socketpair created before fork (single host, default)
-  kTcp,   // supervisor listens, workers connect/reconnect
 };
 
 class CommChannel {

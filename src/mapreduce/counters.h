@@ -65,11 +65,11 @@ struct JobCounters {
   uint64_t quarantined_tasks = 0;
   uint64_t spill_files_reaped = 0;
   uint64_t exec_fallbacks = 0;
-  /// Streamed shuffle (fork mode): run bytes the supervisor committed off
-  /// worker channels (CRC trailers included — real wire traffic), runs
-  /// re-shipped because a connection dropped mid-run, and TCP connections
-  /// re-established after a drop. All zero in-process and in relay-free
-  /// phases that shuffled nothing.
+  /// Streamed shuffle (fork and remote modes): run bytes the supervisor
+  /// committed off worker channels (CRC trailers included — real wire
+  /// traffic), runs re-shipped because a remote worker's connection dropped
+  /// mid-run, and remote TCP connections re-established after a drop. All
+  /// zero in-process and in phases that shuffled nothing.
   uint64_t shuffle_streamed_bytes = 0;
   uint64_t shuffle_resent_runs = 0;
   uint64_t channel_reconnects = 0;

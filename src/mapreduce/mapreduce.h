@@ -155,12 +155,13 @@ struct FaultInjection {
   /// quarantined task commits the same bytes an in-process run produces.
   double worker_crash_rate = 0.0;
   double poison_task_rate = 0.0;
-  /// TCP transport only: probability, per (task, attempt), that the worker's
-  /// connection drops mid-run while it streams the attempt's shuffle runs.
-  /// The worker reconnects, the supervisor discards the partial run and
-  /// answers with the last committed run boundary, and the stream resumes —
-  /// committed bytes are identical to an undropped run. Ignored on
-  /// transports that cannot reconnect (a socketpair drop is a worker loss).
+  /// ExecMode::kRemote only: probability, per (task, attempt), that a remote
+  /// worker's TCP connection drops mid-run while it streams the attempt's
+  /// shuffle runs. The worker reconnects, the supervisor discards the
+  /// partial run and answers with the last committed run boundary, and the
+  /// stream resumes — committed bytes are identical to an undropped run.
+  /// Ignored by fork workers: a socketpair cannot be re-established, so a
+  /// drop there would be a worker loss.
   double channel_drop_rate = 0.0;
   uint64_t seed = 1;
 };
@@ -170,18 +171,19 @@ enum class ExecMode {
   /// Tasks run on a thread pool in this process (RunRobustPhase).
   kInProc = 0,
   /// Tasks run in forked worker processes under a WorkerSupervisor
-  /// (supervisor.h): real crash isolation, heartbeat hang detection, seeded
-  /// backoff reattempts, poison-task quarantine. Falls back to kInProc —
-  /// counted in JobCounters::exec_fallbacks — when fork execution is
-  /// unsupported (non-POSIX, TSan) or no worker could be spawned, and for
-  /// reduce phases whose output type has no Serde (the results could not
-  /// cross the process boundary). Output is bit-identical to kInProc.
+  /// (supervisor.h), each wired to the supervisor by a socketpair: real
+  /// crash isolation, heartbeat hang detection, seeded backoff reattempts,
+  /// poison-task quarantine. Falls back to kInProc — counted in
+  /// JobCounters::exec_fallbacks — when fork execution is unsupported
+  /// (non-POSIX, TSan) or no worker could be spawned, and for reduce phases
+  /// whose output type has no Serde (the results could not cross the
+  /// process boundary). Output is bit-identical to kInProc.
   kFork = 1,
   /// Tasks run in separately exec'd ddp_worker processes (possibly on other
-  /// hosts) that dialed `Options::remote_pool`'s listener, plus
-  /// `Options::remote_local_workers` forked locals. Tasks ship by *name*
-  /// (JobSpec::remote_task_id against the worker's JobRegistry) with their
-  /// input serialized by value, so nothing is fork-captured. Jobs whose
+  /// hosts) that dialed `Options::remote_pool`'s TCP listener; the phase
+  /// forks nobody, and a dropped connection is resumed, not lost. Tasks
+  /// ship by *name* (JobSpec::remote_task_id against the worker's
+  /// JobRegistry) with their input serialized by value. Jobs whose
   /// input type has no Serde or whose spec carries no remote_task_id
   /// degrade to kFork semantics (counted in exec_fallbacks). Output is
   /// bit-identical to kInProc.
@@ -250,35 +252,21 @@ struct Options {
   /// 0 (default) starts no heartbeat thread at all.
   double heartbeat_seconds = 0.0;
 
-  /// Execution substrate (see ExecMode). Multi-process knobs below apply
-  /// only to kFork.
+  /// Execution substrate (see ExecMode). The supervision knobs below apply
+  /// to kFork and kRemote.
   ExecMode exec_mode = ExecMode::kInProc;
-  /// Replacement workers each phase may fork after its initial crew dies.
+  /// Replacement workers each fork phase may fork after its initial crew
+  /// dies.
   size_t max_worker_restarts = 8;
   /// Consecutive worker-killing crashes before a task is declared
   /// poisonous and routed through skip_bad_records quarantine.
   size_t quarantine_after_crashes = 2;
-  /// Interval of worker liveness heartbeats (kHeartbeat frames); silence
-  /// past 8x this interval SIGKILLs the worker as hung. 0 disables.
-  double worker_heartbeat_seconds = 0.25;
-  /// Transport carrying supervisor<->worker frames (channel.h). kPipe forks
-  /// over a socketpair; kTcp listens on `tcp_host:tcp_port` (port 0 picks an
-  /// ephemeral port) and workers connect — host-transparent framing, plus
-  /// reconnect-and-resume across dropped connections.
-  Transport transport = Transport::kPipe;
-  std::string tcp_host = "127.0.0.1";
-  uint16_t tcp_port = 0;
 
   /// ExecMode::kRemote: the pool of exec'd ddp_worker processes
   /// (remote_worker.h) whose listener remote workers dial. Borrowed, not
   /// owned; one job may use a pool at a time. Required for kRemote — a null
   /// pool degrades the job to kFork semantics.
   RemoteWorkerPool* remote_pool = nullptr;
-  /// Local fork workers to run alongside the remote crew (kRemote only;
-  /// 0 means the job runs on remote workers exclusively). The mixed crew
-  /// shares one scheduler, so a lost remote worker's tasks can land on a
-  /// local fork worker and vice versa.
-  size_t remote_local_workers = 0;
 
   /// Cooperative cancellation shared across a pipeline: when set, RunJob
   /// checks the flag before doing any work and again at the map->reduce
@@ -587,9 +575,6 @@ struct WorkerChaosParams {
   double failure_rate = 0.0;  // this phase's injected-failure probability
   std::string job_name;
   int phase = 0;
-  /// channel_drop_rate applies (reconnecting transports only: TCP fork
-  /// workers and remote workers; a socketpair drop is a worker loss).
-  bool drop_chaos = false;
 };
 
 /// The attempt chaos every scheduler rolls after a successful task body, in
@@ -671,8 +656,10 @@ Status RunWorkerAttempt(const WorkerChaosParams& chaos, size_t t,
   if (crash_mid_shuffle) {
     result->crash_after_runs = static_cast<int64_t>(result->runs.size() / 2);
   }
-  if (chaos.drop_chaos &&
-      ShouldInjectFailure(faults, faults.channel_drop_rate, chaos.job_name,
+  // Rolled on every substrate; only a worker whose channel can reconnect
+  // (a remote worker's TCP channel) acts on it — WorkerLoop ignores the
+  // marker on a socketpair, where a drop would be a worker loss.
+  if (ShouldInjectFailure(faults, faults.channel_drop_rate, chaos.job_name,
                           chaos.phase + 12, t, attempt)) {
     result->drop_after_runs = static_cast<int64_t>(result->runs.size() / 2);
   }
@@ -794,17 +781,14 @@ Status ExecuteSortedReduceTask(const JobSpec<In, MidK, MidV, Out>& spec,
   return Status::OK();
 }
 
-/// Everything RunForkedPhase needs to run a phase on a remote crew: the
-/// borrowed pool, the encoded JobSetupMsg installed on each admitted
-/// worker, the per-task input codec (dispatched lazily, only for tasks that
-/// actually land on a remote worker), and how many local fork workers to
-/// run alongside. Local forks under a remote phase always use the pipe
-/// transport — the pool owns the job's TCP listener.
+/// Everything RunForkedPhase needs to run a phase on a remote crew instead
+/// of forking one: the borrowed pool, the encoded JobSetupMsg installed on
+/// each admitted worker, and the per-task input codec (dispatched lazily,
+/// as each task lands on a worker).
 struct RemotePhaseSpec {
   RemoteWorkerPool* pool = nullptr;
   std::string setup;  // JobSetupMsg::Encode()
   std::function<Result<std::string>(size_t task)> task_input;
-  size_t local_workers = 0;
 };
 
 /// The JobSetupMsg every admitted ddp_worker installs for `phase` (0 = map,
@@ -1159,12 +1143,11 @@ Status RunRobustPhase(ThreadPool* pool, size_t num_tasks, int phase,
 /// deliberate mid-run disconnect. Returns NotImplemented when fork execution
 /// is unavailable — no task has run, fall back to RunRobustPhase.
 ///
-/// With `remote` set (ExecMode::kRemote), the supervisor additionally admits
-/// exec'd ddp_worker processes from the pool's listener: they receive the
-/// phase's JobSetupMsg once and then per-task kTaskAssign frames whose input
-/// `remote->task_input` serializes, while `remote->local_workers` forked
-/// locals (0 for a pure-remote crew) run `body` as usual. NotImplemented
-/// then means no worker — forked or remote — ever joined.
+/// With `remote` set (ExecMode::kRemote), the supervisor forks nobody and
+/// instead admits exec'd ddp_worker processes from the pool's listener: they
+/// receive the phase's JobSetupMsg once and then per-task kTaskAssign frames
+/// whose input `remote->task_input` serializes (`body` is not used).
+/// NotImplemented then means no remote worker ever joined.
 template <typename Output, typename Body, typename SerFn, typename DeFn,
           typename ExtractFn, typename InjectFn>
 Status RunForkedPhase(size_t num_tasks, int phase, const std::string& job_name,
@@ -1190,13 +1173,9 @@ Status RunForkedPhase(size_t num_tasks, int phase, const std::string& job_name,
   cfg.quarantine_after_crashes = options.quarantine_after_crashes;
   cfg.skip_bad_records = options.skip_bad_records;
   cfg.task_deadline_seconds = options.task_deadline_seconds;
-  cfg.child_heartbeat_seconds = options.worker_heartbeat_seconds;
   cfg.backoff_seed = faults.seed;
   cfg.spill_dir = spill_dir;
   cfg.progress_heartbeat_seconds = options.heartbeat_seconds;
-  cfg.transport = options.transport;
-  cfg.tcp_host = options.tcp_host;
-  cfg.tcp_port = options.tcp_port;
   // The shuffle backpressure window tracks the job's memory budget: a
   // budgeted job bounds its shipped-but-uncommitted bytes the same way it
   // bounds its map buffers (floored at 4 KiB so tiny test budgets still
@@ -1209,21 +1188,17 @@ Status RunForkedPhase(size_t num_tasks, int phase, const std::string& job_name,
     cfg.remote_pool = remote->pool;
     cfg.remote_setup_payload = remote->setup;
     cfg.remote_task_input = remote->task_input;
-    // Local forks ride socketpairs; the pool owns the job's TCP listener.
-    cfg.num_workers = remote->local_workers;
-    cfg.transport = Transport::kPipe;
   }
 
-  // Runs in the worker process: the shared chaos-order attempt wrapper
-  // around `body`. Remote workers run the same wrapper rebuilt from the
-  // JobSetupMsg (remote_job.h), so every substrate rolls identical hashes.
+  // Runs in the fork worker process: the shared chaos-order attempt
+  // wrapper around `body`. Remote workers run the same wrapper rebuilt from
+  // the JobSetupMsg (remote_job.h), so every substrate rolls identical
+  // hashes.
   WorkerChaosParams chaos;
   chaos.faults = faults;
   chaos.failure_rate = failure_rate;
   chaos.job_name = job_name;
   chaos.phase = phase;
-  chaos.drop_chaos =
-      remote == nullptr && options.transport == Transport::kTcp;
   WorkerTaskFn fn = [&](size_t t, size_t attempt, bool quarantined,
                         TaskResult* result) -> Status {
     return RunWorkerAttempt<Output>(chaos, t, attempt, quarantined, body,
@@ -1430,7 +1405,6 @@ Result<std::vector<Out>> RunJob(const JobSpec<In, MidK, MidV, Out>& spec,
       map_remote.pool = options.remote_pool;
       map_remote.setup =
           internal::MakePhaseSetup(spec, options, /*phase=*/0).Encode();
-      map_remote.local_workers = options.remote_local_workers;
       map_remote.task_input = [&input, split](size_t t)
           -> Result<std::string> {
         const size_t begin = split.Begin(t);
@@ -1580,7 +1554,6 @@ Result<std::vector<Out>> RunJob(const JobSpec<In, MidK, MidV, Out>& spec,
         reduce_remote.pool = options.remote_pool;
         reduce_remote.setup =
             internal::MakePhaseSetup(spec, options, /*phase=*/1).Encode();
-        reduce_remote.local_workers = options.remote_local_workers;
         reduce_remote.task_input = [&map_outputs](size_t p)
             -> Result<std::string> {
           std::string bytes;

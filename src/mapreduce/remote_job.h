@@ -48,7 +48,6 @@ JobRegistry::TaskRunner MakeRegisteredRunner(
       setup.phase == 0 ? setup.map_failure_rate : setup.reduce_failure_rate;
   chaos.job_name = setup.job_name;
   chaos.phase = static_cast<int>(setup.phase);
-  chaos.drop_chaos = true;  // remote workers always ride a TCP channel
 
   const size_t num_partitions = static_cast<size_t>(setup.num_partitions);
   const uint64_t budget = setup.memory_budget_bytes;

@@ -19,6 +19,7 @@
 #include <unistd.h>
 #endif
 
+#include "common/backoff.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/serde.h"
@@ -272,6 +273,23 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Supervision timing. These are fixed protocol constants, not knobs: every
+// substrate and test runs with the same values.
+//
+// Interval of a fork worker's kHeartbeat frames (a remote ddp_worker picks
+// its own with --heartbeat, same default).
+constexpr double kWorkerHeartbeatSeconds = 0.25;
+// A busy worker silent for longer than this is declared hung: eight missed
+// beats.
+constexpr double kHeartbeatSilenceSeconds = 8.0 * kWorkerHeartbeatSeconds;
+// How long a disconnected remote worker (or an empty remote crew) may stay
+// away. Remote workers stop redialing after
+// RemoteWorkerOptions::dial_deadline_seconds (5 s); the supervisor waits one
+// second more so the worker's own exit wins.
+constexpr double kConnectGraceSeconds = 6.0;
+// Seeded backoff of task reattempts and worker respawns.
+constexpr ExponentialBackoff::Params kRetryBackoff{0.002, 2.0, 0.25, 0.25};
+
 double SecondsSince(Clock::time_point then, Clock::time_point now) {
   return std::chrono::duration<double>(now - then).count();
 }
@@ -329,11 +347,7 @@ struct AttemptStream {
 struct Worker {
   pid_t pid = -1;  // -1 for remote workers: their process is not our child
   uint64_t id = 0;
-  /// Remote workers run a registered job in an exec'd ddp_worker process;
-  /// they are fed kTaskAssign frames and evicted (never killed or reaped)
-  /// when they disappear.
-  bool remote = false;
-  /// Null while a TCP worker is connecting (or reconnecting after a drop).
+  /// Null while a remote worker is reconnecting after a drop.
   std::unique_ptr<CommChannel> ch;
   bool busy = false;
   size_t task = 0;
@@ -365,7 +379,11 @@ void ReapPid(pid_t pid) {
 Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
                                   const WorkerTaskFn& fn, const CommitFn& commit,
                                   SupervisorStats* stats) {
-  if (!ForkExecutionSupported() && cfg.remote_pool == nullptr) {
+  // One transport per substrate: a remote phase admits exec'd workers off
+  // the pool's phase-outliving listener and forks nobody; a fork phase
+  // wires each child by socketpair and listens on nothing.
+  const bool remote = cfg.remote_pool != nullptr;
+  if (!remote && !ForkExecutionSupported()) {
     return Status::NotImplemented("fork execution unsupported in this build");
   }
   if (cfg.num_tasks == 0) return Status::OK();
@@ -376,39 +394,18 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
     phase_span.AddArg("job", cfg.job_name);
     phase_span.AddArg("phase", std::string_view(phase_name));
     phase_span.AddArg("tasks", static_cast<uint64_t>(cfg.num_tasks));
-    phase_span.AddArg("transport", std::string_view(
-        cfg.transport == Transport::kTcp ? "tcp" : "pipe"));
   }
   obs::Histogram* crash_hist = obs::MetricsRegistry::Global().GetHistogram(
       obs::kMetricMrWorkerCrashLatencySeconds);
   obs::Histogram* ship_hist =
       obs::MetricsRegistry::Global().GetHistogram(obs::kMetricMrRunShipSeconds);
 
-  // TCP: listen before the first fork so children know where to connect.
-  // A bind failure is a fallback signal, not a job error — nothing ran yet.
-  // With a remote pool the pool's own (phase-outliving) listener is used
-  // instead, so remote workers keep one stable endpoint across phases.
-  std::unique_ptr<TcpListener> own_listener;
-  TcpListener* listener = nullptr;
-  if (cfg.remote_pool != nullptr) {
-    listener = cfg.remote_pool->listener();
-  } else if (cfg.transport == Transport::kTcp) {
-    auto listening = TcpListener::Listen(cfg.tcp_host, cfg.tcp_port);
-    if (!listening.ok()) {
-      return Status::NotImplemented("cannot listen for workers: " +
-                                    listening.status().ToString());
-    }
-    own_listener = std::move(listening).value();
-    listener = own_listener.get();
-  }
+  TcpListener* listener = remote ? cfg.remote_pool->listener() : nullptr;
 
   const uint64_t window = cfg.stream_window_bytes > 0
                               ? cfg.stream_window_bytes
                               : (uint64_t{4} << 20);
   const uint64_t ack_threshold = std::max<uint64_t>(1, window / 2);
-  // Workers give up connecting after reconnect_grace_seconds; the
-  // supervisor waits one extra second so the worker's own exit wins.
-  const double connect_grace = std::max(2.0, cfg.reconnect_grace_seconds) + 1.0;
 
   std::vector<Worker> workers;
   std::vector<TaskState> tasks(cfg.num_tasks);
@@ -417,73 +414,21 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
   uint64_t next_worker_id = 1;
   Status job_error;
 
-  // With a remote pool the forked crew may be empty (num_workers == 0 means
-  // pure-remote execution); without one at least one fork worker is needed.
   const size_t fork_target =
-      cfg.remote_pool != nullptr
-          ? (ForkExecutionSupported()
-                 ? std::min(cfg.num_workers, cfg.num_tasks)
-                 : 0)
-          : std::max<size_t>(1, std::min(cfg.num_workers, cfg.num_tasks));
+      remote ? 0
+             : std::max<size_t>(1, std::min(cfg.num_workers, cfg.num_tasks));
   const ExponentialBackoff respawn_backoff(
-      cfg.respawn_backoff, SplitSeed(cfg.backoff_seed, 0x5e5u));
+      kRetryBackoff, SplitSeed(cfg.backoff_seed, 0x5e5u));
   auto task_backoff = [&cfg](size_t t) {
-    return ExponentialBackoff(cfg.retry_backoff,
-                              SplitSeed(cfg.backoff_seed, t));
+    return ExponentialBackoff(kRetryBackoff, SplitSeed(cfg.backoff_seed, t));
   };
 
   auto spawn_worker = [&]() -> Status {
     const uint64_t id = next_worker_id++;
     WorkerMainConfig wc;
-    wc.heartbeat_seconds = cfg.child_heartbeat_seconds;
+    wc.heartbeat_seconds = kWorkerHeartbeatSeconds;
     wc.worker_id = id;
     wc.stream_window_bytes = window;
-
-    if (cfg.transport == Transport::kTcp) {
-      const uint16_t port = listener->port();
-      const pid_t pid = ::fork();
-      if (pid < 0) {
-        return Status::Internal(std::string("cannot fork worker: ") +
-                                std::strerror(errno));
-      }
-      if (pid == 0) {
-        // Worker process: drop every supervisor-side descriptor we
-        // inherited, then dial in. The connect lambda doubles as the
-        // reconnect factory after mid-stream drops.
-        listener->Close();
-        for (Worker& w : workers) {
-          if (w.ch != nullptr) w.ch->Close();
-        }
-        const std::string host = cfg.tcp_host;
-        const ExponentialBackoff::Params connect_backoff = cfg.respawn_backoff;
-        const uint64_t connect_seed =
-            SplitSeed(cfg.backoff_seed, 0x7c90u + id);
-        const double deadline = std::max(2.0, cfg.reconnect_grace_seconds);
-        auto dial = [host, port, connect_backoff, connect_seed,
-                     deadline]() -> Result<std::unique_ptr<CommChannel>> {
-          DDP_ASSIGN_OR_RETURN(
-              auto ch, TcpChannel::Connect(host, port, connect_backoff,
-                                           connect_seed, deadline));
-          return std::unique_ptr<CommChannel>(std::move(ch));
-        };
-        auto first = dial();
-        if (!first.ok()) ::_exit(1);
-        wc.reconnect = dial;
-        WorkerMain(std::move(first).value(), fn, wc);
-      }
-      Worker w;
-      w.pid = pid;
-      w.id = id;
-      w.last_beat = Clock::now();  // connect-grace timer until hello
-      w.span = std::make_unique<obs::Span>(obs::kCatMr, obs::kSpanWorker);
-      if (w.span->active()) {
-        w.span->AddArg("job", cfg.job_name);
-        w.span->AddArg("phase", std::string_view(phase_name));
-        w.span->AddArg("pid", static_cast<uint64_t>(pid));
-      }
-      workers.push_back(std::move(w));
-      return Status::OK();
-    }
 
     DDP_ASSIGN_OR_RETURN(auto ends, PipeChannel::CreatePair());
     const pid_t pid = ::fork();
@@ -493,10 +438,9 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
     }
     if (pid == 0) {
       // Worker process. Drop every supervisor-side descriptor we inherited
-      // (ours, those of workers forked before us, and any remote-pool
-      // listener) so a sibling's EOF is seen the moment that sibling dies.
+      // (ours and those of workers forked before us) so a sibling's EOF is
+      // seen the moment that sibling dies.
       ends.first->Close();
-      if (listener != nullptr) listener->Close();
       for (Worker& w : workers) {
         if (w.ch != nullptr) w.ch->Close();
       }
@@ -632,7 +576,7 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
   };
 
   auto kill_worker = [&](size_t wi, bool hang, bool deadline_hit) {
-    if (workers[wi].remote) {
+    if (remote) {
       evict_remote(wi, deadline_hit);
       return;
     }
@@ -675,7 +619,6 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
       return;
     }
     Worker w;
-    w.remote = true;
     w.id = id;
     w.ch = std::move(ch);
     w.last_beat = Clock::now();
@@ -690,8 +633,9 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
     DDP_METRIC_COUNTER_ADD(obs::kMetricMrWorkersRegistered, 1);
   };
 
-  // Accepts one pending TCP connection and attaches it to its worker by
-  // hello worker id. Reconnects (generation > 0) get a resume kRunAck.
+  // Accepts one pending remote connection and attaches it to its worker by
+  // hello worker id: a new id is admitted, a known id (generation > 0) is a
+  // reconnect and gets a resume kRunAck.
   auto accept_connection = [&]() {
     auto accepted = listener->Accept(/*timeout_seconds=*/0.25);
     if (!accepted.ok()) return;
@@ -712,11 +656,10 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
       }
     }
     if (w == nullptr) {
-      if ((hello.flags & kWorkerHelloRemote) != 0 &&
-          cfg.remote_pool != nullptr) {
+      if ((hello.flags & kWorkerHelloRemote) != 0) {
         admit_remote(hello.worker_id, std::move(ch), hello.generation > 0);
       } else {
-        ch->Close();  // a worker we already declared dead
+        ch->Close();  // not a remote worker
       }
       return;
     }
@@ -754,7 +697,9 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
     }
     OpenRun open;
     open.begin = msg;
-    open.buf.reserve(static_cast<size_t>(msg.length));
+    // msg.length is peer-supplied: reserve at most one window up front and
+    // let kRunData appends (each checked against the length) grow the rest.
+    open.buf.reserve(static_cast<size_t>(std::min(msg.length, window)));
     open.started = Clock::now();
     w.stream.open.emplace(std::move(open));
     return true;
@@ -836,11 +781,11 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
     return true;
   };
 
-  // ---- Initial crew: remote workers parked by an earlier phase first,
-  // then the forked complement. Total spawn failure (with no remote pool to
-  // wait on) aborts before any task ran, so RunJob can fall back to the
-  // in-process executor.
-  if (cfg.remote_pool != nullptr) {
+  // ---- Initial crew: a remote phase adopts the workers parked by an
+  // earlier phase (more dial in through the listener); a fork phase forks
+  // its crew. Total spawn failure aborts before any task ran, so RunJob can
+  // fall back to the in-process executor.
+  if (remote) {
     for (RemoteWorkerPool::Parked& parked : cfg.remote_pool->TakeParked()) {
       admit_remote(parked.id, std::move(parked.channel), /*resumed=*/false);
     }
@@ -848,7 +793,7 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
   for (size_t i = 0; i < fork_target; ++i) {
     Status st = spawn_worker();
     if (!st.ok()) {
-      if (workers.empty() && cfg.remote_pool == nullptr) {
+      if (workers.empty()) {
         // NotImplemented is the caller's single "fork execution is not
         // available here" signal — same as the unsupported-platform path.
         return Status::NotImplemented("cannot spawn workers: " +
@@ -864,8 +809,9 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
   std::optional<obs::ProgressHeartbeat> progress;
   if (cfg.progress_heartbeat_seconds > 0.0) {
     progress.emplace(cfg.progress_heartbeat_seconds, [&completed, &cfg,
-                                                      phase_name] {
-      return cfg.job_name + " " + phase_name + " (fork): " +
+                                                      phase_name, remote] {
+      return cfg.job_name + " " + phase_name +
+             (remote ? " (remote): " : " (fork): ") +
              std::to_string(completed.load(std::memory_order_relaxed)) + "/" +
              std::to_string(cfg.num_tasks) + " tasks done";
     });
@@ -880,39 +826,35 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
     const Clock::time_point now = Clock::now();
 
     // Respawn toward the forked target crew while the restart budget lasts.
-    size_t fork_alive = 0;
-    for (const Worker& w : workers) {
-      if (!w.remote) ++fork_alive;
-    }
-    if (fork_alive < fork_target && now >= next_respawn) {
+    if (workers.size() < fork_target && now >= next_respawn) {
       if (restarts_used < cfg.max_worker_restarts) {
         Status st = spawn_worker();
         if (st.ok()) {
           ++restarts_used;
           ++stats->worker_restarts;
           DDP_METRIC_COUNTER_ADD(obs::kMetricMrWorkerRestarts, 1);
-        } else if (workers.empty() && cfg.remote_pool == nullptr) {
+        } else if (workers.empty()) {
           job_error = Status::Internal("cannot respawn any worker: " +
                                        st.ToString());
           break;
         }
         next_respawn =
             now + FromSeconds(respawn_backoff.DelaySeconds(restarts_used));
-      } else if (workers.empty() && cfg.remote_pool == nullptr) {
+      } else if (workers.empty()) {
         job_error = Status::Internal(
             "all workers dead and the restart budget (" +
             std::to_string(cfg.max_worker_restarts) + ") is exhausted");
         break;
       }
     }
-    // Remote-crew watchdog: with a pool, an empty crew is legitimate while
-    // remote workers are still dialing in — but only for the connect grace.
-    // An empty crew that never committed anything degrades like a failed
-    // fork (the caller falls back in-process); mid-job it is a hard error.
-    if (cfg.remote_pool != nullptr) {
+    // Remote-crew watchdog: an empty remote crew is legitimate while
+    // workers are still dialing in — but only for the connect grace. An
+    // empty crew that never committed anything degrades like a failed fork
+    // (the caller falls back in-process); mid-job it is a hard error.
+    if (remote) {
       if (!workers.empty()) {
         last_crew = now;
-      } else if (SecondsSince(last_crew, now) > connect_grace) {
+      } else if (SecondsSince(last_crew, now) > kConnectGraceSeconds) {
         job_error =
             completed.load(std::memory_order_relaxed) == 0
                 ? Status::NotImplemented(
@@ -936,7 +878,7 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
         TaskState& ts = tasks[t];
         if (ts.done || ts.in_flight || now < ts.not_before) continue;
         Frame out;
-        if (w.remote) {
+        if (remote) {
           // Remote workers get the task's serialized input by value: they
           // share no address space, so nothing can ride copy-on-write.
           auto input = cfg.remote_task_input(t);
@@ -971,7 +913,8 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
     }
 
     // Wait for worker traffic; the 10ms cap bounds backoff-gate, respawn,
-    // and hang-scan latency. The TCP listener polls alongside the workers.
+    // and hang-scan latency. A remote phase's listener polls alongside the
+    // workers.
     std::vector<struct pollfd> pfds;
     std::vector<uint64_t> pfd_ids;  // worker ids; remote workers have no pid
     pfds.reserve(workers.size() + 1);
@@ -1021,7 +964,7 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
       Frame frame;
       Status received = w.ch->Recv(&frame, /*timeout_seconds=*/30.0);
       if (!received.ok()) {
-        if (w.remote) {
+        if (remote) {
           // No waitpid can tell a remote crash from a network drop: hold
           // the attempt and committed runs for the reconnect grace; the
           // hang scan evicts (and reassigns) if no redial arrives.
@@ -1031,22 +974,9 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
           discard_open_run(w);
           continue;
         }
-        if (cfg.transport == Transport::kTcp) {
-          int wstatus = 0;
-          const pid_t got = ::waitpid(w.pid, &wstatus, WNOHANG);
-          if (got == 0) {
-            // The connection dropped but the worker lives: hold its
-            // attempt and committed runs, wait out the reconnect grace.
-            w.ch->Close();
-            w.ch.reset();
-            w.last_beat = Clock::now();
-            discard_open_run(w);
-            continue;
-          }
-        }
-        // EOF or a corrupt frame from a dead (or pipe-mode) worker: record
-        // boundaries are gone and the worker is unusable. Make sure it is
-        // dead, then classify.
+        // EOF or a corrupt frame on a socketpair: record boundaries are
+        // gone and the fork worker is unusable. Make sure it is dead, then
+        // classify.
         ::kill(w.pid, SIGKILL);
         handle_worker_death(wi, /*hang=*/false, /*deadline_hit=*/false);
         continue;
@@ -1064,13 +994,7 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
           protocol_ok = handle_run_end(w, frame.payload);
         }
         if (!protocol_ok) {
-          if (w.remote) {
-            evict_remote(wi, /*deadline_hit=*/false);
-          } else {
-            ::kill(w.pid, SIGKILL);
-            ++stats->worker_kills;
-            handle_worker_death(wi, /*hang=*/false, /*deadline_hit=*/false);
-          }
+          kill_worker(wi, /*hang=*/false, /*deadline_hit=*/false);
         }
         continue;
       }
@@ -1079,13 +1003,7 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
         Status decoded = ResultMsg::Decode(frame.payload, &msg);
         if (!decoded.ok() || msg.task >= cfg.num_tasks ||
             w.stream.open.has_value()) {
-          if (w.remote) {
-            evict_remote(wi, /*deadline_hit=*/false);
-          } else {
-            ::kill(w.pid, SIGKILL);
-            ++stats->worker_kills;
-            handle_worker_death(wi, /*hang=*/false, /*deadline_hit=*/false);
-          }
+          kill_worker(wi, /*hang=*/false, /*deadline_hit=*/false);
           continue;
         }
         w.busy = false;
@@ -1126,14 +1044,14 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
     }
     if (!job_error.ok()) break;
 
-    // Hang scan: deadline overruns, heartbeat silence, and workers that
-    // out-stayed the reconnect grace get a SIGKILL and are charged like an
-    // in-process deadline kill.
+    // Hang scan: deadline overruns, heartbeat silence, and remote workers
+    // that out-stayed the reconnect grace are killed (fork) or evicted
+    // (remote) and charged like an in-process deadline kill.
     const Clock::time_point scan_now = Clock::now();
     for (size_t wi = workers.size(); wi-- > 0;) {
       Worker& w = workers[wi];
       if (w.ch == nullptr) {
-        if (SecondsSince(w.last_beat, scan_now) > connect_grace) {
+        if (SecondsSince(w.last_beat, scan_now) > kConnectGraceSeconds) {
           kill_worker(wi, /*hang=*/true, /*deadline_hit=*/false);
         }
         continue;
@@ -1143,34 +1061,30 @@ Status WorkerSupervisor::RunPhase(const SupervisorConfig& cfg,
           cfg.task_deadline_seconds > 0.0 &&
           SecondsSince(w.dispatched, scan_now) > cfg.task_deadline_seconds;
       const bool silent =
-          cfg.child_heartbeat_seconds > 0.0 &&
-          SecondsSince(w.last_beat, scan_now) >
-              cfg.heartbeat_grace * cfg.child_heartbeat_seconds;
+          SecondsSince(w.last_beat, scan_now) > kHeartbeatSilenceSeconds;
       if (deadline_hit || silent) {
         kill_worker(wi, /*hang=*/true, deadline_hit);
       }
     }
   }
 
-  // ---- Teardown: polite shutdown, bounded wait, then force. The pool's
-  // listener is left open — it outlives the phase.
-  if (own_listener != nullptr) own_listener->Close();
-  // Remote workers outlive the phase: park healthy idle ones back into the
-  // pool for the next phase; anything mid-attempt or disconnected is told
-  // to shut down instead (its process is not our child — nothing to reap).
-  for (Worker& w : workers) {
-    if (!w.remote) continue;
-    if (w.ch != nullptr && !w.busy) {
-      cfg.remote_pool->Park(w.id, std::move(w.ch));
-    } else if (w.ch != nullptr) {
-      (void)w.ch->Send(Frame{MessageType::kShutdown, ""});
-      w.ch->Close();
+  // ---- Teardown. Remote workers outlive the phase (as does the pool's
+  // listener): park healthy idle ones back into the pool for the next
+  // phase; anything mid-attempt is told to shut down instead (its process
+  // is not our child — nothing to reap). Fork workers get a polite
+  // shutdown, a bounded wait, then force.
+  if (remote) {
+    for (Worker& w : workers) {
+      if (w.ch != nullptr && !w.busy) {
+        cfg.remote_pool->Park(w.id, std::move(w.ch));
+      } else if (w.ch != nullptr) {
+        (void)w.ch->Send(Frame{MessageType::kShutdown, ""});
+        w.ch->Close();
+      }
+      if (w.span != nullptr) w.span.reset();
     }
-    if (w.span != nullptr) w.span.reset();
+    workers.clear();
   }
-  workers.erase(std::remove_if(workers.begin(), workers.end(),
-                               [](const Worker& w) { return w.remote; }),
-                workers.end());
   for (Worker& w : workers) {
     if (w.ch != nullptr) (void)w.ch->Send(Frame{MessageType::kShutdown, ""});
   }

@@ -6,38 +6,46 @@
 #include <string>
 #include <vector>
 
-#include "common/backoff.h"
 #include "common/result.h"
 #include "mapreduce/channel.h"
 #include "mapreduce/spill.h"
 
 /// \file supervisor.h
-/// Crash-fault-tolerant supervision of forked worker processes — the "job
-/// tracker over real processes" counterpart of the in-process scheduler in
-/// mapreduce.h. A `WorkerSupervisor` forks `num_workers` children (plain
-/// fork, no exec: the typed task closures cannot cross an exec boundary, so
-/// workers inherit the job's closures and input copy-on-write), feeds them
-/// task attempts over a `CommChannel` (socketpair or TCP), and supervises:
+/// Crash-fault-tolerant supervision of worker processes — the "job tracker
+/// over real processes" counterpart of the in-process scheduler in
+/// mapreduce.h. Each substrate has exactly one transport:
 ///
-///  * crash — the worker died unexpectedly (channel EOF + waitpid). The
+///  * fork — a `WorkerSupervisor` forks `num_workers` children (plain fork,
+///    no exec: the typed task closures cannot cross an exec boundary, so
+///    workers inherit the job's closures and input copy-on-write), each
+///    wired to the supervisor by a `PipeChannel::CreatePair()` socketpair.
+///  * remote — with `remote_pool` set, the phase forks nobody: exec'd
+///    ddp_worker processes dial the pool's `TcpListener` and are fed tasks
+///    by name (remote_worker.h).
+///
+/// Either way the supervisor feeds task attempts over a `CommChannel` and
+/// supervises:
+///
+///  * crash — a fork worker died unexpectedly (channel EOF + waitpid). The
 ///    in-flight attempt is charged and retried after a seeded exponential
 ///    backoff; a replacement worker is forked while the phase-wide restart
 ///    budget (`max_worker_restarts`) lasts.
 ///  * hang — the attempt overran `task_deadline_seconds`, or the worker's
-///    heartbeat (a child-side ProgressHeartbeat that sends a kHeartbeat
-///    frame per beat) went silent past the grace window. The worker is
+///    heartbeat (a worker-side ProgressHeartbeat that sends a kHeartbeat
+///    frame per beat) went silent past the grace window. A fork worker is
 ///    SIGKILLed and the attempt charged, exactly like an in-process
-///    deadline kill.
+///    deadline kill; a remote worker is evicted.
 ///  * poison — a task whose attempts killed `quarantine_after_crashes`
 ///    consecutive workers. With `skip_bad_records` the task is re-run
 ///    quarantined (the worker suppresses the poisonous record and counts it
 ///    skipped, Hadoop's skip-mode); otherwise the job fails.
-///  * disconnect (TCP only) — the connection dropped but waitpid says the
-///    worker lives. The supervisor keeps the attempt in flight and the
-///    already-committed runs; the worker reconnects with a seeded backoff,
-///    re-identifies itself (kHello carries worker id + generation), and a
-///    resume kRunAck tells it which run boundary to restart from. Only a
-///    worker silent past `reconnect_grace_seconds` is killed as a hang.
+///  * disconnect (remote only) — a remote worker's connection dropped. No
+///    waitpid can tell a crash from a network drop, so the supervisor keeps
+///    the attempt in flight and the already-committed runs; the worker
+///    reconnects with a seeded backoff, re-identifies itself (kHello carries
+///    worker id + generation), and a resume kRunAck tells it which run
+///    boundary to restart from. A worker silent past the reconnect grace is
+///    evicted and its task reassigned.
 ///
 /// The streamed shuffle: a successful attempt does NOT relay its map output
 /// through the result payload. The worker ships each sorted, CRC-trailed
@@ -102,15 +110,7 @@ struct SupervisorConfig {
   size_t quarantine_after_crashes = 2;
   bool skip_bad_records = false;
   double task_deadline_seconds = 0.0;
-  /// Interval of the worker's kHeartbeat frames; 0 disables the heartbeat
-  /// thread (hangs are then caught by the task deadline alone).
-  double child_heartbeat_seconds = 0.25;
-  /// A busy worker silent for more than grace * child_heartbeat_seconds is
-  /// declared hung.
-  double heartbeat_grace = 8.0;
   uint64_t backoff_seed = 1;
-  ExponentialBackoff::Params retry_backoff{0.002, 2.0, 0.25, 0.25};
-  ExponentialBackoff::Params respawn_backoff{0.002, 2.0, 0.25, 0.25};
   /// Non-empty: reap orphan spill files of dead processes from this
   /// directory after each worker death (see spill.h ReapOrphanSpillFiles).
   /// Also where the supervisor writes its own shuffle spill files when
@@ -118,20 +118,12 @@ struct SupervisorConfig {
   std::string spill_dir;
   /// Parent-side progress heartbeat interval (mr::Options::heartbeat_seconds).
   double progress_heartbeat_seconds = 0.0;
-  /// How supervisor and workers talk. kTcp listens on tcp_host:tcp_port
-  /// (port 0 picks an ephemeral port) and supports worker reconnection.
-  Transport transport = Transport::kPipe;
-  std::string tcp_host = "127.0.0.1";
-  uint16_t tcp_port = 0;
   /// Per-worker cap on shipped-but-unacked run bytes (the shuffle
   /// backpressure window). 0 derives a default: the job's memory budget
   /// when one is set (floored at 4 KiB), else 4 MiB.
   uint64_t stream_window_bytes = 0;
-  /// TCP only: how long a live worker may stay disconnected before the
-  /// supervisor gives up and SIGKILLs it like a hang.
-  double reconnect_grace_seconds = 5.0;
-  /// Non-null: schedule on exec'd remote workers (remote_worker.h) alongside
-  /// any forked crew. Remote workers are admitted off the pool's listener
+  /// Non-null: schedule on exec'd remote workers (remote_worker.h) instead
+  /// of forking a crew. Remote workers are admitted off the pool's listener
   /// (parked channels first), installed with `remote_setup_payload` over a
   /// kJobSetup frame, and fed kTaskAssign frames whose input bytes come from
   /// `remote_task_input`. An evicted remote worker's in-flight task is
@@ -344,13 +336,14 @@ struct RunAckMsg {
 
 class WorkerSupervisor {
  public:
-  /// Runs tasks [0, num_tasks) on forked workers and/or remote workers from
-  /// `config.remote_pool`, committing each task's result (and streamed
-  /// runs) through `commit`. Returns NotImplemented when fork execution is
-  /// unsupported (and no remote pool is configured), when no worker could
-  /// be spawned at all, or when a configured remote pool never produced a
-  /// live worker — all before any task committed, so the caller can fall
-  /// back to the in-process executor.
+  /// Runs tasks [0, num_tasks) on forked workers — or, with
+  /// `config.remote_pool` set, on remote workers from that pool — committing
+  /// each task's result (and streamed runs) through `commit`. Returns
+  /// NotImplemented when fork execution is unsupported (and no remote pool
+  /// is configured), when no worker could be spawned at all, or when a
+  /// configured remote pool never produced a live worker — all before any
+  /// task committed, so the caller can fall back to the in-process
+  /// executor.
   static Status RunPhase(const SupervisorConfig& config, const WorkerTaskFn& fn,
                          const CommitFn& commit, SupervisorStats* stats);
 };
@@ -361,8 +354,8 @@ struct WorkerMainConfig {
   uint64_t worker_id = 0;
   /// Shipped-but-unacked byte cap; a new run starts only under the cap.
   uint64_t stream_window_bytes = 4u << 20;
-  /// Re-establishes the channel after a drop (TCP). Null: a channel error
-  /// is fatal to the worker, as on a socketpair.
+  /// Re-establishes the channel after a drop (remote workers over TCP).
+  /// Null: a channel error is fatal to the worker, as on a socketpair.
   std::function<Result<std::unique_ptr<CommChannel>>()> reconnect;
   /// Forked children watch getppid() to detect supervisor death; an exec'd
   /// remote worker has no parent relationship to watch, so it sets false.

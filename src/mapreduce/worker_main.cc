@@ -27,9 +27,10 @@
 /// A successful attempt stays pending — runs, spill files and all — until
 /// the next kTask arrives: the supervisor dispatches a new task only after
 /// committing the previous result, so receiving one doubles as the commit
-/// acknowledgement. Until then a dropped connection (TCP) is survivable:
-/// reconnect with a bumped hello generation, read the resume kRunAck, and
-/// re-ship from the last committed run boundary.
+/// acknowledgement. Until then a dropped connection is survivable on a
+/// remote worker's TCP channel: reconnect with a bumped hello generation,
+/// read the resume kRunAck, and re-ship from the last committed run
+/// boundary. A fork worker's socketpair cannot reconnect.
 ///
 /// Exit discipline: the child leaves ONLY through _exit. Running the
 /// parent's static destructors (thread pools, metric registries) in a
@@ -325,9 +326,9 @@ int WorkerLoop(std::unique_ptr<CommChannel> channel, const WorkerTaskFn& fn,
       continue;
     }
     if (!received.ok()) {
-      // The connection dropped. On a reconnecting transport: re-identify,
-      // read the resume ack, and re-ship the pending attempt from the last
-      // committed run boundary. Otherwise the worker is done.
+      // The connection dropped. On a remote worker's TCP channel:
+      // re-identify, read the resume ack, and re-ship the pending attempt
+      // from the last committed run boundary. Otherwise the worker is done.
       if (!reconnect()) {
         exit_code = pending.has_value() ? 1 : 0;
         break;

@@ -39,12 +39,6 @@ mr::Options FastMr() {
   if (const char* mode = std::getenv("DDP_TEST_EXEC_MODE")) {
     if (std::string(mode) == "fork") o.exec_mode = mr::ExecMode::kFork;
   }
-  // DDP_TEST_TRANSPORT=tcp moves the fork-mode shuffle onto TCP channels
-  // (listener + reconnecting workers); the streamed runs and therefore the
-  // outputs must stay byte-identical to the socketpair transport.
-  if (const char* transport = std::getenv("DDP_TEST_TRANSPORT")) {
-    if (std::string(transport) == "tcp") o.transport = mr::Transport::kTcp;
-  }
   return o;
 }
 

@@ -1,12 +1,13 @@
 // Multi-process execution suite: the framed channel wire format (loopback,
-// socketpair, and TCP), the shared seeded backoff, the supervisor wire
-// payloads (task/result and the streamed-shuffle run frames), the run
-// trailer integrity gate, the orphan spill-file reaper, and — the contract
+// socketpair, and TCP) and its refusal to let a peer-supplied length drive
+// allocation, the shared seeded backoff, the supervisor wire payloads
+// (task/result and the streamed-shuffle run frames), the run trailer
+// integrity gate, the orphan spill-file reaper, and — the contract
 // everything else serves — bit-identity of --exec-mode=fork with the
-// in-process executor on both transports, including under chaos schedules
-// that SIGKILL workers mid-map and mid-shuffle, drop TCP connections
-// mid-run, hang workers past the task deadline, and poison tasks until
-// they are quarantined.
+// in-process executor, including under chaos schedules that SIGKILL
+// workers mid-map and mid-shuffle, hang workers past the task deadline,
+// and poison tasks until they are quarantined. Connection-drop chaos and
+// reconnect-resume run on remote workers (remote_worker_test).
 //
 // Fork-mode tests skip themselves where forked workers are unsupported
 // (ForkExecutionSupported() == false, e.g. under TSan); the protocol,
@@ -23,7 +24,10 @@
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/backoff.h"
+#include "common/serde.h"
 #include "mapreduce/channel.h"
 #include "mapreduce/counters.h"
 #include "mapreduce/mapreduce.h"
@@ -92,6 +96,31 @@ TEST(ChannelTest, DecodeFrameRoundTrip) {
   ASSERT_TRUE(DecodeFrame(EncodeFrame(f), &got).ok());
   EXPECT_EQ(got.type, f.type);
   EXPECT_EQ(got.payload, f.payload);
+}
+
+// A frame header is peer-supplied: a forged length must end in IoError,
+// never in an allocation of that size (std::bad_alloc aborts the process).
+TEST(ChannelTest, ForgedFrameLengthIsIoErrorNotAnAllocation) {
+  auto pair = PipeChannel::CreatePair();
+  ASSERT_TRUE(pair.ok()) << pair.status().ToString();
+  auto [parent, child] = std::move(*pair);
+  // Type byte, then varint 2^60 (nine bytes), then the peer goes away.
+  std::string header(1, static_cast<char>(MessageType::kJobSubmit));
+  BufferWriter w(&header);
+  w.PutVarint64(uint64_t{1} << 60);
+  ASSERT_EQ(header.size(), 10u);
+  ASSERT_EQ(::write(child->fd(), header.data(), header.size()),
+            static_cast<ssize_t>(header.size()));
+  child->Close();
+  Frame got;
+  EXPECT_TRUE(parent->Recv(&got, 2.0).IsIoError());
+
+  // DecodeFrame: a length of 2^64 - 1 must not wrap the bounds check.
+  std::string wire(1, static_cast<char>(MessageType::kResult));
+  BufferWriter ww(&wire);
+  ww.PutVarint64(~uint64_t{0});
+  wire.append("tail", 4);
+  EXPECT_TRUE(DecodeFrame(wire, &got).IsIoError());
 }
 
 TEST(ChannelTest, PipeChannelRoundTripsBothDirections) {
@@ -417,13 +446,15 @@ TEST(SupervisorTest, FirstAttemptCrashIsRetriedOnAFreshWorker) {
 
 // Streams two in-memory tail runs per attempt through the supervisor and
 // checks they come back committed in stream order, trailers verified and
-// stripped, bytes intact — on both transports with the same task body.
-void RunTailStreamingPhase(Transport transport) {
+// stripped, bytes intact.
+TEST(SupervisorTest, StreamsTailRunsOverPipe) {
+  if (!ForkExecutionSupported()) {
+    GTEST_SKIP() << "forked workers unsupported in this build";
+  }
   SupervisorConfig config;
   config.job_name = "stream";
   config.num_workers = 2;
   config.num_tasks = 9;
-  config.transport = transport;
   config.stream_window_bytes = 64;  // tiny window: acks must flow to finish
   WorkerTaskFn fn = [](size_t task, size_t, bool, TaskResult* result) {
     result->payload = "p" + std::to_string(task);
@@ -479,31 +510,19 @@ void RunTailStreamingPhase(Transport transport) {
   EXPECT_GT(stats.shuffle_streamed_bytes, config.num_tasks * 300u);
 }
 
-TEST(SupervisorTest, StreamsTailRunsOverPipe) {
-  if (!ForkExecutionSupported()) {
-    GTEST_SKIP() << "forked workers unsupported in this build";
-  }
-  RunTailStreamingPhase(Transport::kPipe);
-}
-
-TEST(SupervisorTest, StreamsTailRunsOverTcp) {
-  if (!ForkExecutionSupported()) {
-    GTEST_SKIP() << "forked workers unsupported in this build";
-  }
-  RunTailStreamingPhase(Transport::kTcp);
-}
-
 // Credit-window edge: one run whose bytes alone exceed stream_window_bytes
 // many times over. The worker cannot hold a full window of credit for it up
 // front, so progress depends on the ack flow refilling the window
 // mid-run — a deadlock here would hang the phase, not fail it. The run must
-// land complete and intact on both transports.
-void RunOversizedSingleRunPhase(Transport transport) {
+// land complete and intact.
+TEST(SupervisorTest, SingleRunExceedingWindowStreamsOverPipe) {
+  if (!ForkExecutionSupported()) {
+    GTEST_SKIP() << "forked workers unsupported in this build";
+  }
   SupervisorConfig config;
   config.job_name = "stream_oversized";
   config.num_workers = 2;
   config.num_tasks = 4;
-  config.transport = transport;
   config.stream_window_bytes = 256;  // run below is 32x the window
   const size_t run_bytes = 8192;
   WorkerTaskFn fn = [run_bytes](size_t task, size_t, bool,
@@ -530,20 +549,6 @@ void RunOversizedSingleRunPhase(Transport transport) {
               std::string(run_bytes, static_cast<char>('a' + t)));
   }
   EXPECT_GT(stats.shuffle_streamed_bytes, config.num_tasks * run_bytes);
-}
-
-TEST(SupervisorTest, SingleRunExceedingWindowStreamsOverPipe) {
-  if (!ForkExecutionSupported()) {
-    GTEST_SKIP() << "forked workers unsupported in this build";
-  }
-  RunOversizedSingleRunPhase(Transport::kPipe);
-}
-
-TEST(SupervisorTest, SingleRunExceedingWindowStreamsOverTcp) {
-  if (!ForkExecutionSupported()) {
-    GTEST_SKIP() << "forked workers unsupported in this build";
-  }
-  RunOversizedSingleRunPhase(Transport::kTcp);
 }
 
 // ----------------------------------------------- fork-mode bit identity
@@ -652,106 +657,6 @@ TEST(MultiprocessTest, ForkModeUnderSpillBudgetIsBitIdentical) {
   EXPECT_GT(counters.spill_files, 0u);
   EXPECT_GT(counters.merge_passes, 0u);
   EXPECT_GT(counters.shuffle_streamed_bytes, 0u);
-}
-
-TEST(MultiprocessTest, TcpTransportIsBitIdenticalToInProcess) {
-  if (!ForkExecutionSupported()) {
-    GTEST_SKIP() << "forked workers unsupported in this build";
-  }
-  std::vector<std::string> docs = Corpus();
-  auto inproc = RunJob(WordCountSpec(), std::span<const std::string>(docs),
-                       MpOptions(), nullptr);
-  ASSERT_TRUE(inproc.ok());
-
-  Options tcp = MpOptions();
-  tcp.exec_mode = ExecMode::kFork;
-  tcp.transport = Transport::kTcp;
-  JobCounters counters;
-  auto fork = RunJob(WordCountSpec(), std::span<const std::string>(docs),
-                     tcp, &counters);
-  ASSERT_TRUE(fork.ok()) << fork.status().ToString();
-  EXPECT_EQ(*inproc, *fork);
-  EXPECT_EQ(counters.exec_fallbacks, 0u);
-  EXPECT_EQ(counters.worker_crashes, 0u);
-  EXPECT_GT(counters.shuffle_streamed_bytes, 0u);
-  EXPECT_EQ(counters.channel_reconnects, 0u);  // no chaos, no drops
-}
-
-// Reconnect chaos: TCP connections are dropped mid-run. The worker dials
-// back in, identifies itself (kHello generation > 0), gets a resume ack at
-// the last committed run boundary, and re-ships the interrupted run — the
-// committed byte stream, and therefore the job output, is unchanged.
-TEST(MultiprocessTest, TcpDropChaosReconnectsAndStaysBitIdentical) {
-  if (!ForkExecutionSupported()) {
-    GTEST_SKIP() << "forked workers unsupported in this build";
-  }
-  std::vector<std::string> docs = Corpus();
-  auto clean = RunJob(WordCountSpec(), std::span<const std::string>(docs),
-                      MpOptions(), nullptr);
-  ASSERT_TRUE(clean.ok());
-
-  Options chaos = MpOptions();
-  chaos.exec_mode = ExecMode::kFork;
-  chaos.transport = Transport::kTcp;
-  chaos.faults.channel_drop_rate = 0.6;
-  chaos.faults.seed = 20260808;
-  JobCounters counters;
-  auto result = RunJob(WordCountSpec(), std::span<const std::string>(docs),
-                       chaos, &counters);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(*clean, *result);
-  EXPECT_GT(counters.channel_reconnects, 0u);
-  EXPECT_GT(counters.shuffle_resent_runs, 0u);
-  EXPECT_EQ(counters.worker_crashes, 0u);  // drops are not deaths
-  EXPECT_EQ(counters.exec_fallbacks, 0u);
-}
-
-// The full gauntlet over TCP: a tiny memory budget (every run matters, and
-// the stream window shrinks to match), workers SIGKILLed mid-map and
-// mid-shuffle, and connections dropped mid-run. Output must still match
-// the clean in-process run and no spill file — worker- or
-// supervisor-owned — may survive the job.
-TEST(MultiprocessTest, TcpCrashAndDropChaosWithSpillsStaysIdentical) {
-  if (!ForkExecutionSupported()) {
-    GTEST_SKIP() << "forked workers unsupported in this build";
-  }
-  std::vector<std::string> docs = Corpus();
-  auto clean = RunJob(WordCountSpec(), std::span<const std::string>(docs),
-                      MpOptions(), nullptr);
-  ASSERT_TRUE(clean.ok());
-
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "ddp_mp_tcp_chaos_spill";
-  fs::remove_all(dir);
-
-  Options chaos = MpOptions();
-  chaos.exec_mode = ExecMode::kFork;
-  chaos.transport = Transport::kTcp;
-  chaos.memory_budget_bytes = 64;
-  chaos.spill_dir = dir.string();
-  chaos.faults.worker_crash_rate = 0.3;
-  chaos.faults.channel_drop_rate = 0.5;
-  chaos.faults.seed = 20260808;
-  chaos.max_task_attempts = 24;
-  chaos.max_worker_restarts = 64;
-  chaos.quarantine_after_crashes = 24;
-  JobCounters counters;
-  auto result = RunJob(WordCountSpec(), std::span<const std::string>(docs),
-                       chaos, &counters);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(*clean, *result);
-  EXPECT_GT(counters.worker_crashes, 0u);
-  EXPECT_GT(counters.channel_reconnects, 0u);
-  EXPECT_GT(counters.shuffle_streamed_bytes, 0u);
-  uint64_t leftovers = 0;
-  if (fs::exists(dir)) {
-    for (const auto& e : fs::directory_iterator(dir)) {
-      (void)e;
-      ++leftovers;
-    }
-  }
-  EXPECT_EQ(leftovers, 0u);
-  fs::remove_all(dir);
 }
 
 // Chaos: workers are SIGKILLed mid-map and mid-shuffle (the injection's

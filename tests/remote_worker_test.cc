@@ -2,11 +2,13 @@
 // payloads that carry the registered-job model (extended hello with
 // capability flags, kJobSetup, kTaskAssign), the process-global JobRegistry,
 // and — the contract the subsystem exists for — multi-host bit-identity:
-// the same seed and dataset run under inproc, fork-pipe, fork-tcp, and
+// the same seed and dataset run under inproc, fork (socketpairs), and
 // remote execution (two separately exec'd ddp_worker processes on
-// localhost) must produce byte-identical assignments for all three DDP
-// drivers, including when one remote worker dies mid-shuffle and when a
-// 4 KiB spill budget forces every task out of core.
+// localhost, over TCP) must produce byte-identical assignments for all
+// three DDP drivers. Remote is the one reconnecting transport, so its runs
+// also carry the connection-drop chaos: at a 4 KiB spill budget (every
+// task out of core) half the attempts drop their connection mid-run and
+// resume, and the crash drill kills one worker mid-shuffle on top of that.
 //
 // Remote/fork tests skip themselves where forked workers are unsupported
 // (ForkExecutionSupported() == false, e.g. under TSan).
@@ -153,35 +155,37 @@ TEST(JobRegistryTest, RegisteredFactoryRejectsMalformedCtx) {
 
 // ------------------------------------------------- multi-host bit-identity
 
-enum class Mode { kInProc, kForkPipe, kForkTcp, kRemote };
+enum class Mode { kInProc, kFork, kRemote };
 
 struct ModeResult {
   std::vector<int> assignment;
   double dc = 0.0;
   uint64_t tasks_reassigned = 0;
+  uint64_t channel_reconnects = 0;
+  uint64_t shuffle_resent_runs = 0;
 };
 
 // Runs the full pipeline for `algo` under `mode` and returns the
 // assignment. Remote mode binds a pool on an ephemeral port, execs
 // `workers` ddp_worker processes against it (the first gets
 // `crash_task` >= 0 as --chaos-crash-task), and reaps them afterwards.
+// `drop_rate` is FaultInjection::channel_drop_rate (remote workers act on
+// it; the other modes ignore it).
 Result<ModeResult> RunPipeline(const std::string& algo, const Dataset& ds,
                                Mode mode, uint64_t budget = 0,
-                               size_t workers = 2, int64_t crash_task = -1) {
+                               size_t workers = 2, int64_t crash_task = -1,
+                               double drop_rate = 0.0) {
   DdpOptions options;
   options.selector = PeakSelector::TopK(12);
   options.use_mr_assignment = true;  // assign-jump rounds go remote too
   options.mr.num_workers = 2;
   options.mr.memory_budget_bytes = budget;
+  options.mr.faults.channel_drop_rate = drop_rate;
   switch (mode) {
     case Mode::kInProc:
       break;
-    case Mode::kForkPipe:
+    case Mode::kFork:
       options.mr.exec_mode = mr::ExecMode::kFork;
-      break;
-    case Mode::kForkTcp:
-      options.mr.exec_mode = mr::ExecMode::kFork;
-      options.mr.transport = mr::Transport::kTcp;
       break;
     case Mode::kRemote:
       options.mr.exec_mode = mr::ExecMode::kRemote;
@@ -230,13 +234,15 @@ Result<ModeResult> RunPipeline(const std::string& algo, const Dataset& ds,
   out.dc = run->dc;
   for (const mr::JobCounters& j : run->stats.jobs) {
     out.tasks_reassigned += j.tasks_reassigned;
+    out.channel_reconnects += j.channel_reconnects;
+    out.shuffle_resent_runs += j.shuffle_resent_runs;
   }
   return out;
 }
 
 class RemoteBitIdentityTest : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(RemoteBitIdentityTest, FourModesAgreeByteForByte) {
+TEST_P(RemoteBitIdentityTest, ThreeModesAgreeByteForByte) {
   if (!mr::ForkExecutionSupported()) {
     GTEST_SKIP() << "forked/exec'd workers unsupported in this build";
   }
@@ -245,16 +251,13 @@ TEST_P(RemoteBitIdentityTest, FourModesAgreeByteForByte) {
 
   auto inproc = RunPipeline(algo, ds, Mode::kInProc);
   ASSERT_TRUE(inproc.ok()) << inproc.status().ToString();
-  auto fork_pipe = RunPipeline(algo, ds, Mode::kForkPipe);
-  ASSERT_TRUE(fork_pipe.ok()) << fork_pipe.status().ToString();
-  auto fork_tcp = RunPipeline(algo, ds, Mode::kForkTcp);
-  ASSERT_TRUE(fork_tcp.ok()) << fork_tcp.status().ToString();
+  auto fork = RunPipeline(algo, ds, Mode::kFork);
+  ASSERT_TRUE(fork.ok()) << fork.status().ToString();
   auto remote = RunPipeline(algo, ds, Mode::kRemote);
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
 
   EXPECT_EQ(inproc->dc, remote->dc);
-  EXPECT_EQ(inproc->assignment, fork_pipe->assignment);
-  EXPECT_EQ(inproc->assignment, fork_tcp->assignment);
+  EXPECT_EQ(inproc->assignment, fork->assignment);
   EXPECT_EQ(inproc->assignment, remote->assignment);
 }
 
@@ -265,16 +268,20 @@ TEST_P(RemoteBitIdentityTest, SurvivesWorkerDeathMidShuffle) {
   const std::string algo = GetParam();
   Dataset ds = std::move(gen::S2Like(7, 400)).ValueOrDie();
 
-  auto inproc = RunPipeline(algo, ds, Mode::kInProc);
+  auto inproc = RunPipeline(algo, ds, Mode::kInProc, /*budget=*/4096);
   ASSERT_TRUE(inproc.ok()) << inproc.status().ToString();
-  // Worker 0 SIGKILLs itself mid-shuffle while serving its second task; the
-  // job must finish on the survivor, bit-identically, with the dead
-  // worker's in-flight task reassigned.
-  auto remote = RunPipeline(algo, ds, Mode::kRemote, /*budget=*/0,
-                            /*workers=*/2, /*crash_task=*/1);
+  // Worker 0 SIGKILLs itself mid-shuffle while serving its second task,
+  // every task spills at the 4 KiB budget, and half the attempts drop
+  // their connection mid-run. The job must finish on the survivor,
+  // bit-identically, with the dead worker's in-flight task reassigned and
+  // the dropped streams resumed.
+  auto remote = RunPipeline(algo, ds, Mode::kRemote, /*budget=*/4096,
+                            /*workers=*/2, /*crash_task=*/1,
+                            /*drop_rate=*/0.5);
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   EXPECT_EQ(inproc->assignment, remote->assignment);
   EXPECT_GT(remote->tasks_reassigned, 0u);
+  EXPECT_GT(remote->channel_reconnects, 0u);
 }
 
 TEST_P(RemoteBitIdentityTest, FourKiBSpillBudgetStaysIdentical) {
@@ -286,9 +293,17 @@ TEST_P(RemoteBitIdentityTest, FourKiBSpillBudgetStaysIdentical) {
 
   auto inproc = RunPipeline(algo, ds, Mode::kInProc, /*budget=*/4096);
   ASSERT_TRUE(inproc.ok()) << inproc.status().ToString();
-  auto remote = RunPipeline(algo, ds, Mode::kRemote, /*budget=*/4096);
+  // Half the attempts drop their TCP connection mid-run; each worker
+  // redials, gets a resume ack at the last committed run, and re-ships
+  // from there, so the committed bytes match an undropped run.
+  auto remote = RunPipeline(algo, ds, Mode::kRemote, /*budget=*/4096,
+                            /*workers=*/2, /*crash_task=*/-1,
+                            /*drop_rate=*/0.5);
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   EXPECT_EQ(inproc->assignment, remote->assignment);
+  EXPECT_GT(remote->channel_reconnects, 0u);
+  EXPECT_GT(remote->shuffle_resent_runs, 0u);
+  EXPECT_EQ(remote->tasks_reassigned, 0u);  // drops are not worker losses
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDrivers, RemoteBitIdentityTest,

@@ -43,9 +43,6 @@
 //                                bit-identical output); remote runs them on
 //                                exec'd ddp_worker processes over TCP
 //                                (bit-identical output, any host)
-//   --transport T                fork mode: pipe (default) talks to workers
-//                                over socketpairs; tcp[:host:port] over TCP
-//                                (port 0 or omitted picks an ephemeral port)
 //   --max-worker-restarts N      fork mode: replacement workers each phase
 //                                may spawn after crashes (default 8)
 //   --remote-listen H:P          remote mode: the worker pool's listen
@@ -58,8 +55,6 @@
 //                                join from elsewhere via --remote-listen)
 //   --remote-worker-bin PATH     remote mode: the worker binary to spawn
 //                                (default: ddp_worker next to this binary)
-//   --remote-local-workers N     remote mode: forked local workers to run
-//                                alongside the remote crew (default 0)
 //   --remote-crash-task K        remote mode: pass --chaos-crash-task K to
 //                                the first spawned worker (fault drills)
 
@@ -111,11 +106,10 @@ int Usage() {
       "          [--block N] [--halo] [--graph FILE] [--out FILE]\n"
       "          [--trace-out FILE] [--metrics-out FILE] [--stats-out FILE]\n"
       "          [--heartbeat SECONDS] [--exec-mode inproc|fork|remote]\n"
-      "          [--transport pipe|tcp[:host:port]]\n"
       "          [--max-worker-restarts N]\n"
       "          [--remote-listen H:P] [--remote-port-file FILE]\n"
       "          [--remote-workers N] [--remote-worker-bin PATH]\n"
-      "          [--remote-local-workers N] [--remote-crash-task K]\n");
+      "          [--remote-crash-task K]\n");
   return 2;
 }
 
@@ -332,24 +326,6 @@ int CmdCluster(const Args& args, const std::string& self_path) {
     return 2;
   }
   options.mr.max_worker_restarts = args.GetSize("max-worker-restarts", 8);
-  const std::string transport = args.Get("transport");
-  if (transport == "tcp" || transport.rfind("tcp:", 0) == 0) {
-    options.mr.transport = mr::Transport::kTcp;
-    if (transport.size() > 4) {
-      Result<HostPort> endpoint = ParseHostPort(transport.substr(4));
-      if (!endpoint.ok()) {
-        std::fprintf(stderr, "bad --transport endpoint: %s\n",
-                     endpoint.status().ToString().c_str());
-        return 2;
-      }
-      options.mr.tcp_host = endpoint->host;
-      options.mr.tcp_port = endpoint->port;
-    }
-  } else if (!transport.empty() && transport != "pipe") {
-    std::fprintf(stderr, "unknown --transport '%s' (pipe|tcp[:host:port])\n",
-                 transport.c_str());
-    return 2;
-  }
 
   // Remote mode: bind the worker pool's listener, then spawn ddp_worker
   // processes that dial it. Workers spawned elsewhere (other hosts, other
@@ -372,7 +348,6 @@ int CmdCluster(const Args& args, const std::string& self_path) {
     }
     remote_pool = std::move(*pool);
     options.mr.remote_pool = remote_pool.get();
-    options.mr.remote_local_workers = args.GetSize("remote-local-workers", 0);
     if (args.Has("remote-port-file")) {
       std::ofstream port_file(args.Get("remote-port-file"));
       port_file << remote_pool->port() << '\n';
