@@ -1,7 +1,9 @@
 #include "core/local_dp.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -21,6 +23,8 @@
 namespace ddp {
 
 namespace {
+
+using internal::kPanelLanes;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -119,7 +123,7 @@ void ForEachIndex(size_t n, bool parallel,
 }
 
 // Indices per parallel block of the pairwise paths: enough rows (or ranks)
-// per block to keep every kernel lane busy, few enough to balance.
+// per block to amortize scheduling, few enough to balance.
 constexpr size_t kParallelGrain = 32;
 
 // Runs body(begin, end) over [0, n): one block when sequential, else blocks
@@ -138,59 +142,88 @@ void ForEachBlock(size_t n, bool parallel,
   });
 }
 
-// The (row, column) positions of one queued pair, e.g. (i, j) for a group's
-// half loop or (query, candidate) for a cross pass.
-struct PairTag {
-  size_t i;
-  size_t j;
-};
+// Doubles of packed panels a thread keeps between calls. A call that needs
+// more frees its buffer when it ends, so one huge group does not pin memory.
+constexpr size_t kPanelKeepDoubles = size_t{1} << 19;  // 4 MiB
 
-// A private queue of up to kPairLanes pending pairs. Push() queues the rows
-// of one pair with its tag; once every lane is taken, one kernel call
-// evaluates them all and apply(tag, d_sq) runs for each pair in push order,
-// so every accumulation order and Improve() tie-break is that of a
-// one-pair-at-a-time loop. Pairs, not rows, fill the lanes: callers push
-// across row boundaries, which keeps the lanes full on small groups.
-// Evaluations are counted once per batch. Finish() evaluates the last
-// partial batch and must run before the caller reads what apply writes.
-template <typename Apply>
-class PairQueue {
+// One call's candidate rows packed into panels (core/pair_kernel.h), plus the
+// kernel this CPU runs. The panels live in a thread-local buffer reused
+// across calls, so a small group allocates nothing. At most one Panels is
+// alive per thread; the pool threads of a parallel loop only read it while
+// the thread that packed it waits in ForEachBlock.
+class Panels {
  public:
-  PairQueue(size_t dim, const CountingMetric& metric, Apply apply)
-      : dim_(dim),
-        metric_(metric),
-        apply_(std::move(apply)),
-        kernel_(internal::SelectedPairLaneKernel()) {}
-
-  void Push(const double* a, const double* b, PairTag tag) {
-    a_[size_] = a;
-    b_[size_] = b;
-    tags_[size_] = tag;
-    if (++size_ == internal::kPairLanes) Drain();
+  Panels(std::span<const double* const> rows, size_t dim)
+      : count_(internal::PanelCount(rows.size())),
+        stride_(internal::PanelStride(dim)),
+        dim_(dim),
+        kernel_(internal::SelectedPanelKernel()) {
+    // Slack to start the panels on a 64-byte boundary: with 8 lanes, one
+    // dimension of a panel is then exactly one cache line.
+    constexpr size_t kAlignDoubles = 64 / sizeof(double);
+    if (buffer_.size() < count_ * stride_ + kAlignDoubles) {
+      buffer_.resize(count_ * stride_ + kAlignDoubles);
+    }
+    const size_t misaligned =
+        (reinterpret_cast<uintptr_t>(buffer_.data()) / sizeof(double)) %
+        kAlignDoubles;
+    data_ = buffer_.data() + (kAlignDoubles - misaligned) % kAlignDoubles;
+    internal::PackPanels(rows.data(), rows.size(), dim, data_);
   }
 
-  void Finish() {
-    if (size_ > 0) Drain();
+  ~Panels() {
+    if (buffer_.size() > kPanelKeepDoubles) std::vector<double>().swap(buffer_);
+  }
+
+  Panels(const Panels&) = delete;
+  Panels& operator=(const Panels&) = delete;
+
+  size_t count() const { return count_; }
+
+  /// Scores `query` against panels [first, last). mask(p) returns the live
+  /// lanes of panel p as a bit set; a panel with none is not evaluated.
+  /// apply(c, d_sq) runs for every live lane, c being the candidate's index
+  /// in the packed rows, in ascending c — the order of a one-pair-at-a-time
+  /// loop — and returns whether that pair counts as an evaluation. Returns
+  /// the number of counted pairs.
+  template <typename Mask, typename Apply>
+  uint64_t Scan(const double* query, size_t first, size_t last, Mask&& mask,
+                Apply&& apply) const {
+    uint64_t evals = 0;
+    double d_sq[kPanelLanes];
+    for (size_t p = first; p < last; ++p) {
+      unsigned live = mask(p);
+      if (live == 0) continue;
+      kernel_(query, data_ + p * stride_, dim_, d_sq);
+      for (; live != 0; live &= live - 1) {
+        const size_t k = static_cast<size_t>(std::countr_zero(live));
+        if (apply(p * kPanelLanes + k, d_sq[k])) ++evals;
+      }
+    }
+    return evals;
   }
 
  private:
-  void Drain() {
-    double d_sq[internal::kPairLanes];
-    kernel_(a_, b_, size_, dim_, d_sq);
-    metric_.AddEvaluations(size_);
-    for (size_t k = 0; k < size_; ++k) apply_(tags_[k], d_sq[k]);
-    size_ = 0;
-  }
+  static thread_local std::vector<double> buffer_;
 
+  size_t count_;
+  size_t stride_;
   size_t dim_;
-  CountingMetric metric_;
-  Apply apply_;
-  internal::PairLaneKernel kernel_;
-  size_t size_ = 0;
-  const double* a_[internal::kPairLanes] = {};
-  const double* b_[internal::kPairLanes] = {};
-  PairTag tags_[internal::kPairLanes] = {};
+  internal::PanelKernel kernel_;
+  double* data_ = nullptr;
 };
+
+thread_local std::vector<double> Panels::buffer_;
+
+// The lanes of panel p whose candidate index is below `limit`.
+unsigned LanesBelow(size_t p, size_t limit) {
+  const size_t base = p * kPanelLanes;
+  if (limit <= base) return 0;
+  if (limit - base >= kPanelLanes) {
+    return (1u << kPanelLanes) - 1;
+  }
+  return (1u << (limit - base)) - 1;
+}
 
 // Pivot projections for the triangle-inequality filter: distances from every
 // group member to the group centroid. |proj_i - proj_j| <= d_ij for any
@@ -324,32 +357,45 @@ std::vector<uint32_t> LocalDpEngine::Rho(const LocalPointView& view, double dc,
       const bool triangle = backend == LocalDpBackend::kTriangleFilter;
       std::vector<double> proj;
       if (triangle) proj = CentroidProjections(view, metric);
-      auto skip = [&](size_t i, size_t j) {
-        return triangle && std::abs(proj[i] - proj[j]) >= reach;
-      };
       // Sequential: the half loop, each pair's contribution going to both
       // sides. Parallel: full-row scans, each block accumulating only its
       // own rows (ascending position order, so bit-identical to the half
-      // loop) and each surviving pair evaluated from both sides.
-      auto apply = [&](PairTag p, double d_sq) {
-        if (gaussian) {
-          const double w = GaussianKernelContributionSq(d_sq, dc);
-          soft[p.i] += w;
-          if (!parallel) soft[p.j] += w;
-        } else if (d_sq < dc_sq) {
-          ++rho[p.i];
-          if (!parallel) ++rho[p.j];
-        }
-      };
+      // loop) and each surviving pair evaluated from both sides. The panels
+      // hold the group in group order; lanes outside the loop's range and
+      // lanes the filter skips are masked.
+      const Panels panels(view.rows(), view.dim());
       const double* const* rows = view.rows().data();
       ForEachBlock(n, parallel, [&](size_t begin, size_t end) {
-        PairQueue queue(view.dim(), metric, apply);
+        uint64_t evals = 0;
         for (size_t i = begin; i < end; ++i) {
-          for (size_t j = parallel ? 0 : i + 1; j < n; ++j) {
-            if (j != i && !skip(i, j)) queue.Push(rows[i], rows[j], {i, j});
-          }
+          const size_t first = parallel ? 0 : i + 1;
+          auto mask = [&](size_t p) {
+            unsigned live = LanesBelow(p, n) & ~LanesBelow(p, first);
+            if (i / kPanelLanes == p) {
+              live &= ~(1u << (i % kPanelLanes));
+            }
+            for (unsigned m = triangle ? live : 0; m != 0; m &= m - 1) {
+              const int k = std::countr_zero(m);
+              const size_t j = p * kPanelLanes + static_cast<size_t>(k);
+              if (std::abs(proj[i] - proj[j]) >= reach) live &= ~(1u << k);
+            }
+            return live;
+          };
+          evals += panels.Scan(
+              rows[i], first / kPanelLanes, panels.count(), mask,
+              [&](size_t j, double d_sq) {
+                if (gaussian) {
+                  const double w = GaussianKernelContributionSq(d_sq, dc);
+                  soft[i] += w;
+                  if (!parallel) soft[j] += w;
+                } else if (d_sq < dc_sq) {
+                  ++rho[i];
+                  if (!parallel) ++rho[j];
+                }
+                return true;
+              });
         }
-        queue.Finish();
+        metric.AddEvaluations(evals);
       });
       break;
     }
@@ -408,75 +454,68 @@ LocalDeltaScores LocalDpEngine::Delta(const LocalPointView& view,
       });
       break;
     }
-    case LocalDpBackend::kTriangleFilter: {
-      // The filter reads each query's running minimum, so one query's
-      // survivors cannot be queued ahead of its own results. Instead each
-      // lane holds a different query (rank): every lane advances to its
-      // query's next surviving candidate, the lanes are evaluated together,
-      // and each query sees exactly its one-at-a-time candidate sequence.
-      // A lane whose query runs out of candidates takes the next rank.
-      std::vector<double> proj = CentroidProjections(view, metric);
-      const internal::PairLaneKernel kernel =
-          internal::SelectedPairLaneKernel();
-      const double* const* rows = view.rows().data();
-      ForEachBlock(n - 1, parallel, [&](size_t begin, size_t end) {
-        struct Lane {
-          size_t r;  // the query's rank; candidates are ranks [0, r)
-          size_t s;  // next candidate rank
-        };
-        Lane lanes[internal::kPairLanes];
-        const double* a[internal::kPairLanes];
-        const double* b[internal::kPairLanes];
-        double d_sq[internal::kPairLanes];
-        size_t live = 0;
-        size_t next = begin + 1;  // ranks [begin + 1, end + 1)
-        while (live < internal::kPairLanes && next <= end) {
-          lanes[live++] = {next++, 0};
-        }
-        // Advances a lane to its query's next survivor; false when none.
-        auto advance = [&](Lane& lane) {
-          const size_t k = order[lane.r];
-          for (; lane.s < lane.r; ++lane.s) {
-            const double gap = std::abs(proj[k] - proj[order[lane.s]]);
-            if (gap * gap <= best[k].d_sq) return true;
-          }
-          return false;
-        };
-        for (;;) {
-          for (size_t w = 0; w < live;) {
-            if (!advance(lanes[w])) {
-              lanes[w] = next <= end ? Lane{next++, 0} : lanes[--live];
-              continue;
-            }
-            a[w] = rows[order[lanes[w].r]];
-            b[w] = rows[order[lanes[w].s]];
-            ++w;
-          }
-          if (live == 0) break;
-          kernel(a, b, live, view.dim(), d_sq);
-          metric.AddEvaluations(live);
-          for (size_t w = 0; w < live; ++w) {
-            const size_t l = order[lanes[w].s++];
-            best[order[lanes[w].r]].Improve(d_sq[w], view.id(l));
-          }
-        }
-      });
-      break;
-    }
+    case LocalDpBackend::kTriangleFilter:
     case LocalDpBackend::kAuto:  // Resolve never returns kAuto
     case LocalDpBackend::kBruteForce: {
-      const double* const* rows = view.rows().data();
+      // The panels hold the group in rank order, so the candidates of the
+      // query at rank r are the packed rows [0, r).
+      const bool triangle = backend == LocalDpBackend::kTriangleFilter;
+      std::vector<const double*> ranked(n);
+      std::vector<PointId> ranked_id(n);
+      for (size_t s = 0; s < n; ++s) {
+        ranked[s] = view.rows()[order[s]];
+        ranked_id[s] = view.id(order[s]);
+      }
+      std::vector<double> ranked_proj;
+      if (triangle) {
+        const std::vector<double> proj = CentroidProjections(view, metric);
+        ranked_proj.resize(n);
+        for (size_t s = 0; s < n; ++s) ranked_proj[s] = proj[order[s]];
+      }
+      const Panels panels(ranked, view.dim());
       ForEachBlock(n - 1, parallel, [&](size_t begin, size_t end) {
-        PairQueue queue(view.dim(), metric, [&](PairTag p, double d_sq) {
-          best[p.i].Improve(d_sq, view.id(p.j));
-        });
+        uint64_t evals = 0;
         for (size_t r = begin + 1; r <= end; ++r) {
-          const size_t k = order[r];
-          for (size_t s = 0; s < r; ++s) {
-            queue.Push(rows[k], rows[order[s]], {k, order[s]});
+          LocalDeltaBest& b = best[order[r]];
+          const size_t last = internal::PanelCount(r);
+          if (!triangle) {
+            evals += panels.Scan(
+                ranked[r], 0, last, [&](size_t p) { return LanesBelow(p, r); },
+                [&](size_t s, double d_sq) {
+                  b.Improve(d_sq, ranked_id[s]);
+                  return true;
+                });
+            continue;
           }
+          // The filter reads the query's running minimum, which only
+          // shrinks: a candidate whose gap^2 exceeds it now is dead for
+          // good. A panel runs when any lane is alive; its lanes are then
+          // replayed in rank order, re-checking the filter against the
+          // running minimum before each Improve, and only the lanes that
+          // pass count — exactly the one-pair-at-a-time sequence.
+          auto alive = [&](size_t s) {
+            const double gap = std::abs(ranked_proj[r] - ranked_proj[s]);
+            return gap * gap <= b.d_sq;
+          };
+          evals += panels.Scan(
+              ranked[r], 0, last,
+              [&](size_t p) {
+                const unsigned lanes = LanesBelow(p, r);
+                for (unsigned m = lanes; m != 0; m &= m - 1) {
+                  if (alive(p * kPanelLanes +
+                            static_cast<size_t>(std::countr_zero(m)))) {
+                    return lanes;
+                  }
+                }
+                return 0u;
+              },
+              [&](size_t s, double d_sq) {
+                if (!alive(s)) return false;
+                b.Improve(d_sq, ranked_id[s]);
+                return true;
+              });
         }
-        queue.Finish();
+        metric.AddEvaluations(evals);
       });
       break;
     }
@@ -539,19 +578,22 @@ void LocalDpEngine::RhoCross(const LocalPointView& left,
     }
     return;
   }
+  const Panels panels(right.rows(), right.dim());
   ForEachBlock(nl, parallel, [&](size_t begin, size_t end) {
-    PairQueue queue(left.dim(), metric, [&](PairTag p, double d_sq) {
-      if (d_sq < dc_sq) {
-        ++counts_left[p.i];
-        if (both) ++counts_right[p.j];
-      }
-    });
+    uint64_t evals = 0;
     for (size_t i = begin; i < end; ++i) {
-      for (size_t j = 0; j < nr; ++j) {
-        queue.Push(left.rows()[i], right.rows()[j], {i, j});
-      }
+      evals += panels.Scan(
+          left.rows()[i], 0, panels.count(),
+          [&](size_t p) { return LanesBelow(p, nr); },
+          [&](size_t j, double d_sq) {
+            if (d_sq < dc_sq) {
+              ++counts_left[i];
+              if (both) ++counts_right[j];
+            }
+            return true;
+          });
     }
-    queue.Finish();
+    metric.AddEvaluations(evals);
   });
 }
 
@@ -606,20 +648,30 @@ void LocalDpEngine::DeltaCross(const LocalPointView& queries,
     });
     return;
   }
+  const Panels panels(candidates.rows(), candidates.dim());
   ForEachBlock(nq, parallel, [&](size_t begin, size_t end) {
-    PairQueue queue(queries.dim(), metric, [&](PairTag p, double d_sq) {
-      best[p.i].Improve(d_sq, candidates.id(p.j));
-    });
+    uint64_t evals = 0;
     for (size_t k = begin; k < end; ++k) {
       const uint32_t rho_k = query_rho[k];
       const PointId id_k = queries.id(k);
-      for (size_t l = 0; l < nc; ++l) {
-        if (DenserThan(candidate_rho[l], candidates.id(l), rho_k, id_k)) {
-          queue.Push(queries.rows()[k], candidates.rows()[l], {k, l});
+      auto mask = [&](size_t p) {
+        unsigned live = 0;
+        for (size_t w = 0; w < kPanelLanes; ++w) {
+          const size_t l = p * kPanelLanes + w;
+          if (l < nc && DenserThan(candidate_rho[l], candidates.id(l), rho_k,
+                                   id_k)) {
+            live |= 1u << w;
+          }
         }
-      }
+        return live;
+      };
+      evals += panels.Scan(queries.rows()[k], 0, panels.count(), mask,
+                           [&](size_t l, double d_sq) {
+                             best[k].Improve(d_sq, candidates.id(l));
+                             return true;
+                           });
     }
-    queue.Finish();
+    metric.AddEvaluations(evals);
   });
 }
 
@@ -655,22 +707,25 @@ void LocalDpEngine::DeltaCrossSymmetric(
   const CountingMetric& metric = scope.metric();
   // Brute: each cross pair's distance is evaluated exactly once and feeds
   // both sides — the Basic-DDP block-pair cost model.
-  PairQueue queue(left.dim(), metric, [&](PairTag p, double d_sq) {
-    const PointId id_i = left.id(p.i);
-    const PointId id_j = right.id(p.j);
-    if (DenserThan(rho_right[p.j], id_j, rho_left[p.i], id_i)) {
-      best_left[p.i].Improve(d_sq, id_j);
-    }
-    if (DenserThan(rho_left[p.i], id_i, rho_right[p.j], id_j)) {
-      best_right[p.j].Improve(d_sq, id_i);
-    }
-  });
+  const Panels panels(right.rows(), right.dim());
+  uint64_t evals = 0;
   for (size_t i = 0; i < nl; ++i) {
-    for (size_t j = 0; j < nr; ++j) {
-      queue.Push(left.rows()[i], right.rows()[j], {i, j});
-    }
+    const PointId id_i = left.id(i);
+    evals += panels.Scan(
+        left.rows()[i], 0, panels.count(),
+        [&](size_t p) { return LanesBelow(p, nr); },
+        [&](size_t j, double d_sq) {
+          const PointId id_j = right.id(j);
+          if (DenserThan(rho_right[j], id_j, rho_left[i], id_i)) {
+            best_left[i].Improve(d_sq, id_j);
+          }
+          if (DenserThan(rho_left[i], id_i, rho_right[j], id_j)) {
+            best_right[j].Improve(d_sq, id_i);
+          }
+          return true;
+        });
   }
-  queue.Finish();
+  metric.AddEvaluations(evals);
 }
 
 }  // namespace ddp

@@ -31,17 +31,22 @@
 ///  * Gaussian contributions use GaussianKernelContributionSq and are
 ///    accumulated per point in ascending group-position order; truncated
 ///    terms are exact zeros, so range-searched and full scans agree.
-///  * Brute and triangle loops, and the brute cross loops, evaluate their
-///    pairs kPairLanes at a time through the lane kernel of
+///  * Brute and triangle loops, and the brute cross loops, pack their
+///    candidate rows once per call into 8-row dimension-major panels and
+///    score one query against a whole panel per call of the panel kernel of
 ///    core/pair_kernel.h, chosen once at run time from the CPU (AVX2 or a
 ///    portable interleaved-scalar kernel). Three invariants keep each lane
 ///    bit-identical to SquaredEuclidean: every pair sums over ascending
 ///    dimensions; nothing is contracted into an FMA (-ffp-contract=off);
-///    queued pairs are applied in push order, the order of a one-pair-at-
-///    a-time loop, so gaussian sums and Improve() tie-breaks are unchanged.
+///    live lanes are applied in ascending candidate order, the order of a
+///    one-pair-at-a-time loop, so gaussian sums and Improve() tie-breaks
+///    are unchanged. Padding lanes, masked lanes (pairs the loop skips) and
+///    lanes the speculative triangle delta evaluates but its re-checked
+///    filter rejects are never applied and never counted.
 ///  * Backends therefore return bit-identical rho, delta, and upslope, and
 ///    neither backend selection, the parallel path, nor the CPU's kernel
-///    can change results. Evaluation counts are exact per call.
+///    can change results. Evaluation counts are exact per call: the pairs
+///    the one-pair-at-a-time loop evaluates.
 
 namespace ddp {
 
@@ -61,8 +66,9 @@ Result<LocalDpBackend> ParseLocalDpBackend(std::string_view name);
 
 /// A non-owning view of a point group: borrowed coordinate rows plus the
 /// global point id of each row. This is what reducers hand the engine —
-/// the rows typically point straight into shuffled records, so no
-/// coordinates are copied.
+/// the rows typically point straight into shuffled records, so building a
+/// view copies no coordinates. (The pairwise loops pack one copy of their
+/// candidate rows per engine call, into a reused per-thread buffer.)
 class LocalPointView {
  public:
   explicit LocalPointView(size_t dim) : dim_(dim) {}

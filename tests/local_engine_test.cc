@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "common/random.h"
@@ -193,50 +195,56 @@ TEST(LocalEngineEquivalenceTest, ExactAlgorithmsMatchOracleUnderAllBackends) {
   }
 }
 
-// ------------------------------------------------ Lane kernel reference bits
+// ----------------------------------------------- Panel kernel reference bits
 
-// Every lane of both lane kernels must equal SquaredEuclidean bit for bit
-// (ascending dimensions, no fused multiply-add) for every dimensionality
-// and every queue fill, and must leave lanes past the fill untouched.
-TEST(PairKernelTest, LanesMatchSquaredEuclideanBitForBit) {
-  std::vector<internal::PairLaneKernel> kernels = {&internal::PairLanesScalar};
+// Every lane of both panel kernels must equal SquaredEuclidean bit for bit
+// (ascending dimensions, no fused multiply-add) for every dimensionality and
+// every number of live lanes in a panel, and the lanes past the last row
+// must repeat a real row, so they hold finite values the engine masks.
+TEST(PairKernelTest, PanelLanesMatchSquaredEuclideanBitForBit) {
+  std::vector<internal::PanelKernel> kernels = {&internal::PanelScalar};
   if (internal::CpuHasAvx2()) {
-    ASSERT_NE(internal::kPairLanesAvx2, nullptr);
-    kernels.push_back(internal::kPairLanesAvx2);
-    EXPECT_EQ(internal::SelectedPairLaneKernel(), internal::kPairLanesAvx2);
+    ASSERT_NE(internal::kPanelAvx2, nullptr);
+    kernels.push_back(internal::kPanelAvx2);
+    EXPECT_EQ(internal::SelectedPanelKernel(), internal::kPanelAvx2);
   } else {
-    EXPECT_EQ(internal::SelectedPairLaneKernel(), &internal::PairLanesScalar);
+    EXPECT_EQ(internal::SelectedPanelKernel(), &internal::PanelScalar);
   }
-  constexpr size_t kLanes = internal::kPairLanes;
-  constexpr double kSentinel = -1.0;
+  constexpr size_t kLanes = internal::kPanelLanes;
   Rng rng(2017);
   for (size_t dim = 1; dim <= 80; ++dim) {
     // Mixed magnitudes and signs so that summation order shows in the bits.
-    std::vector<std::vector<double>> rows(2 * kLanes, std::vector<double>(dim));
+    std::vector<std::vector<double>> rows(2 * kLanes + 1,
+                                          std::vector<double>(dim));
     for (auto& row : rows) {
       for (double& x : row) {
         x = rng.Gaussian() * std::exp2(rng.Uniform(-20, 20));
       }
     }
-    const double* a[kLanes];
-    const double* b[kLanes];
-    for (size_t k = 0; k < kLanes; ++k) {
-      a[k] = rows[k].data();
-      b[k] = rows[kLanes + k].data();
-    }
-    for (internal::PairLaneKernel kernel : kernels) {
-      for (size_t fill = 1; fill <= kLanes; ++fill) {
-        double out[kLanes];
-        std::fill(std::begin(out), std::end(out), kSentinel);
-        kernel(a, b, fill, dim, out);
-        for (size_t k = 0; k < kLanes; ++k) {
-          const double want = k < fill
-                                  ? SquaredEuclidean(rows[k], rows[kLanes + k])
-                                  : kSentinel;
-          EXPECT_EQ(std::bit_cast<uint64_t>(out[k]),
-                    std::bit_cast<uint64_t>(want))
-              << "dim=" << dim << " fill=" << fill << " lane=" << k
-              << " avx2=" << (kernel != &internal::PairLanesScalar);
+    const std::vector<double>& query = rows.back();
+    std::vector<const double*> ptrs;
+    for (size_t r = 0; r < 2 * kLanes; ++r) ptrs.push_back(rows[r].data());
+    // One and two panels, with 1..kLanes live lanes in the last one.
+    for (size_t n = 1; n <= 2 * kLanes; ++n) {
+      const size_t panels = internal::PanelCount(n);
+      ASSERT_EQ(panels, n <= kLanes ? 1u : 2u);
+      std::vector<double> packed(panels * internal::PanelStride(dim));
+      internal::PackPanels(ptrs.data(), n, dim, packed.data());
+      for (internal::PanelKernel kernel : kernels) {
+        for (size_t p = 0; p < panels; ++p) {
+          double out[kLanes];
+          kernel(query.data(), packed.data() + p * internal::PanelStride(dim),
+                 dim, out);
+          for (size_t k = 0; k < kLanes; ++k) {
+            // Padding lanes repeat the last real row.
+            const size_t r = std::min(p * kLanes + k, n - 1);
+            const double want = SquaredEuclidean(query, rows[r]);
+            EXPECT_EQ(std::bit_cast<uint64_t>(out[k]),
+                      std::bit_cast<uint64_t>(want))
+                << "dim=" << dim << " n=" << n << " panel=" << p
+                << " lane=" << k
+                << " avx2=" << (kernel != &internal::PanelScalar);
+          }
         }
       }
     }
@@ -413,6 +421,197 @@ TEST(LocalEngineCountTest, CrossKernelsCountEveryPair) {
     engine.DeltaCross(left, rho_left, right, rho_right, metric, best);
     EXPECT_EQ(counter.value(), denser);
     EXPECT_TRUE(same(best, want_best_left));
+  }
+}
+
+// ------------------------------------------------ Swept panel-loop identity
+
+// One-pair-at-a-time results: the loops the panel kernel replaced.
+std::vector<uint32_t> ScalarRho(const LocalPointView& view, double dc,
+                                DensityKernel kernel) {
+  const size_t n = view.size();
+  std::vector<uint32_t> rho(n, 0);
+  std::vector<double> soft(n, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      const double d_sq = SquaredEuclidean(view.point(i), view.point(j));
+      if (kernel == DensityKernel::kGaussian) {
+        const double w = GaussianKernelContributionSq(d_sq, dc);
+        soft[i] += w;
+        soft[j] += w;
+      } else if (d_sq < dc * dc) {
+        ++rho[i];
+        ++rho[j];
+      }
+    }
+  }
+  if (kernel == DensityKernel::kGaussian) {
+    for (size_t k = 0; k < n; ++k) rho[k] = QuantizeDensity(soft[k]);
+  }
+  return rho;
+}
+
+std::vector<LocalDeltaBest> ScalarDelta(const LocalPointView& view,
+                                        std::span<const uint32_t> rho) {
+  std::vector<uint32_t> order(view.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return DenserThan(rho[a], view.id(a), rho[b], view.id(b));
+  });
+  std::vector<LocalDeltaBest> best(view.size());
+  for (size_t r = 1; r < order.size(); ++r) {
+    for (size_t s = 0; s < r; ++s) {
+      best[order[r]].Improve(
+          SquaredEuclidean(view.point(order[r]), view.point(order[s])),
+          view.id(order[s]));
+    }
+  }
+  return best;
+}
+
+bool SameBest(std::span<const LocalDeltaBest> got,
+              std::span<const LocalDeltaBest> want) {
+  if (got.size() != want.size()) return false;
+  for (size_t k = 0; k < got.size(); ++k) {
+    if (std::bit_cast<uint64_t>(got[k].d_sq) !=
+            std::bit_cast<uint64_t>(want[k].d_sq) ||
+        got[k].upslope != want[k].upslope) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Every panel loop — brute and triangle Rho/Delta and the three cross
+// kernels, cutoff and gaussian, sequential and parallel — must match the
+// scalar reference bit for bit and count exactly the reference's pairs, at
+// group sizes around every panel boundary (padding, single partial panels,
+// empty groups) and at dims with and without a 4-wide tail.
+TEST(LocalEngineSweepTest, PanelLoopsMatchScalarReference) {
+  std::vector<size_t> sizes;
+  for (size_t n = 0; n <= 17; ++n) sizes.push_back(n);
+  for (size_t n : {63u, 64u, 65u, 511u, 512u, 513u}) sizes.push_back(n);
+  for (size_t dim : {2u, 5u, 57u, 74u}) {
+    for (size_t n : sizes) {
+      Dataset ds(dim);
+      if (n > 0) {
+        auto gen = gen::GaussianMixture(n, dim, 3, 20.0, 3.0, 3 + n + dim);
+        ASSERT_TRUE(gen.ok());
+        ds = *std::move(gen);
+      }
+      const LocalPointView view = LocalPointView::AllOf(ds);
+      const double dc = 3.0 * std::sqrt(static_cast<double>(dim));
+      const uint64_t pairs = n * (n > 0 ? n - 1 : 0) / 2;
+      const std::vector<uint32_t> cutoff_rho =
+          ScalarRho(view, dc, DensityKernel::kCutoff);
+      const std::vector<LocalDeltaBest> want_best =
+          ScalarDelta(view, cutoff_rho);
+      const std::optional<TriangleReference> tri =
+          n > 0 ? std::optional<TriangleReference>(view) : std::nullopt;
+
+      // Cross kernels: the first third of the group against the rest.
+      const size_t nl = n / 3;
+      std::vector<PointId> left_ids(nl), right_ids(n - nl);
+      std::iota(left_ids.begin(), left_ids.end(), 0);
+      std::iota(right_ids.begin(), right_ids.end(), static_cast<PointId>(nl));
+      const LocalPointView left = LocalPointView::SubsetOf(ds, left_ids);
+      const LocalPointView right = LocalPointView::SubsetOf(ds, right_ids);
+      const size_t nr = right.size();
+      std::vector<uint32_t> rho_left(nl), rho_right(nr);
+      for (size_t i = 0; i < nl; ++i) rho_left[i] = cutoff_rho[i] % 4;
+      for (size_t j = 0; j < nr; ++j) rho_right[j] = cutoff_rho[nl + j] % 4;
+      std::vector<uint32_t> want_left(nl), want_right(nr);
+      std::vector<LocalDeltaBest> want_cross_left(nl), want_cross_right(nr);
+      uint64_t denser = 0;
+      for (size_t i = 0; i < nl; ++i) {
+        for (size_t j = 0; j < nr; ++j) {
+          const double d_sq = SquaredEuclidean(left.point(i), right.point(j));
+          if (d_sq < dc * dc) {
+            ++want_left[i];
+            ++want_right[j];
+          }
+          if (DenserThan(rho_right[j], right.id(j), rho_left[i], left.id(i))) {
+            ++denser;
+            want_cross_left[i].Improve(d_sq, right.id(j));
+          } else {
+            want_cross_right[j].Improve(d_sq, left.id(i));
+          }
+        }
+      }
+
+      for (size_t parallel_min : {4096u, 2u}) {
+        const bool parallel = n >= parallel_min;
+        DistanceCounter counter;
+        CountingMetric metric(&counter);
+        for (LocalDpBackend backend :
+             {LocalDpBackend::kBruteForce, LocalDpBackend::kTriangleFilter}) {
+          const bool triangle = backend == LocalDpBackend::kTriangleFilter;
+          const LocalDpEngine engine = EngineWith(backend, parallel_min);
+          for (DensityKernel kernel :
+               {DensityKernel::kCutoff, DensityKernel::kGaussian}) {
+            SCOPED_TRACE(testing::Message()
+                         << "n=" << n << " dim=" << dim << " backend="
+                         << LocalDpBackendName(backend) << " kernel="
+                         << static_cast<int>(kernel)
+                         << " parallel=" << parallel);
+            counter.Reset();
+            EXPECT_EQ(engine.Rho(view, dc, kernel, metric),
+                      kernel == DensityKernel::kCutoff
+                          ? cutoff_rho
+                          : ScalarRho(view, dc, kernel));
+            const double reach = kernel == DensityKernel::kGaussian
+                                     ? kGaussianKernelCut * dc
+                                     : dc;
+            const uint64_t rho_pairs =
+                triangle && n > 0 ? tri->RhoEvals(reach) - n : pairs;
+            EXPECT_EQ(counter.value(), (triangle ? n : 0) +
+                                           (parallel ? 2 : 1) * rho_pairs);
+          }
+          SCOPED_TRACE(testing::Message()
+                       << "n=" << n << " dim=" << dim << " backend="
+                       << LocalDpBackendName(backend)
+                       << " parallel=" << parallel);
+          counter.Reset();
+          const LocalDeltaScores d = engine.Delta(view, cutoff_rho, metric);
+          std::vector<LocalDeltaBest> got(n);
+          for (size_t k = 0; k < n; ++k) {
+            if (d.upslope[k] == kInvalidPointId) continue;
+            got[k] = {d.delta_sq[k], d.upslope[k]};
+          }
+          EXPECT_TRUE(SameBest(got, want_best));
+          EXPECT_EQ(counter.value(),
+                    n <= 1 ? 0u
+                           : (triangle ? tri->DeltaEvals(view, cutoff_rho)
+                                       : pairs));
+        }
+
+        SCOPED_TRACE(testing::Message() << "cross n=" << n << " dim=" << dim
+                                        << " parallel_min=" << parallel_min);
+        const LocalDpEngine engine =
+            EngineWith(LocalDpBackend::kBruteForce, parallel_min);
+        counter.Reset();
+        std::vector<uint32_t> counts_left(nl), counts_right(nr);
+        engine.RhoCross(left, right, dc, metric, counts_left, counts_right);
+        EXPECT_EQ(counts_left, want_left);
+        EXPECT_EQ(counts_right, want_right);
+        std::vector<uint32_t> one_sided(nl);
+        engine.RhoCross(left, right, dc, metric, one_sided, {});
+        EXPECT_EQ(one_sided, want_left);
+        EXPECT_EQ(counter.value(), 2 * nl * nr);
+        counter.Reset();
+        std::vector<LocalDeltaBest> best_left(nl), best_right(nr);
+        engine.DeltaCrossSymmetric(left, rho_left, right, rho_right, metric,
+                                   best_left, best_right);
+        EXPECT_TRUE(SameBest(best_left, want_cross_left));
+        EXPECT_TRUE(SameBest(best_right, want_cross_right));
+        EXPECT_EQ(counter.value(), nl * nr);
+        counter.Reset();
+        std::vector<LocalDeltaBest> best(nl);
+        engine.DeltaCross(left, rho_left, right, rho_right, metric, best);
+        EXPECT_TRUE(SameBest(best, want_cross_left));
+        EXPECT_EQ(counter.value(), denser);
+      }
+    }
   }
 }
 

@@ -8,7 +8,10 @@
 // Files ending in .ddpb use the binary format; everything else is CSV. A
 // directory `<in>` is read as a sharded DDPB dataset (every *.ddpb inside,
 // lexicographic order). `gen --shards N` splits the generated set into N
-// DDPB shards `<out>-00000.ddpb`, ... instead of one file.
+// DDPB shards `<out>-00000.ddpb`, ... instead of one file. A flag the
+// command does not read with the options given (a typo, a retired option,
+// --rho next to --k, a remote-mode option without --exec-mode remote) is a
+// usage error: exit 2, naming the flag.
 // `cluster` options:
 //   --algo lsh|basic|eddpc|seq   algorithm (default lsh)
 //   --k N                        select the top-N peaks by gamma
@@ -65,6 +68,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -133,7 +137,10 @@ Status SaveDataset(const std::string& path, const Dataset& ds) {
   return WriteCsvFile(path, ds);
 }
 
-// Minimal --flag value parser; positional args collected separately.
+// Minimal --flag value parser; positional args collected separately. It
+// records every flag a command reads (Has/Get*), so a command can reject
+// the flags it never read: a mistyped or retired option is a usage error,
+// not a silent default.
 class Args {
  public:
   Args(int argc, char** argv, int start) {
@@ -156,24 +163,45 @@ class Args {
 
   bool bad() const { return bad_; }
   const std::vector<std::string>& positional() const { return positional_; }
-  bool Has(const std::string& key) const { return flags_.count(key) > 0; }
+  bool Has(const std::string& key) const { return Find(key) != nullptr; }
   std::string Get(const std::string& key, const std::string& def = "") const {
-    auto it = flags_.find(key);
-    return it == flags_.end() ? def : it->second;
+    const std::string* v = Find(key);
+    return v == nullptr ? def : *v;
   }
   double GetDouble(const std::string& key, double def) const {
-    auto it = flags_.find(key);
-    return it == flags_.end() ? def : std::atof(it->second.c_str());
+    const std::string* v = Find(key);
+    return v == nullptr ? def : std::atof(v->c_str());
   }
   size_t GetSize(const std::string& key, size_t def) const {
-    auto it = flags_.find(key);
-    return it == flags_.end() ? def
-                              : static_cast<size_t>(std::atoll(it->second.c_str()));
+    const std::string* v = Find(key);
+    return v == nullptr ? def : static_cast<size_t>(std::atoll(v->c_str()));
+  }
+
+  /// Names every given flag `command` has not read so far on stderr; true
+  /// if there was one. Call once the command has read all its flags.
+  bool ReportUnread(const char* command) const {
+    bool any = false;
+    for (const auto& [key, value] : flags_) {
+      if (read_.count(key) > 0) continue;
+      std::fprintf(stderr,
+                   "ddp_cli %s: unknown flag --%s (or not used with these "
+                   "options)\n",
+                   command, key.c_str());
+      any = true;
+    }
+    return any;
   }
 
  private:
+  const std::string* Find(const std::string& key) const {
+    read_.insert(key);
+    auto it = flags_.find(key);
+    return it == flags_.end() ? nullptr : &it->second;
+  }
+
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> read_;
   bool bad_ = false;
 };
 
@@ -184,6 +212,9 @@ int CmdGen(const Args& args) {
   uint64_t seed =
       static_cast<uint64_t>(std::atoll(args.positional()[2].c_str()));
   const std::string& out = args.positional()[3];
+  const size_t shards =
+      args.Has("shards") ? std::max<size_t>(1, args.GetSize("shards", 1)) : 0;
+  if (args.ReportUnread("gen")) return Usage();
 
   Result<Dataset> ds = Status::InvalidArgument("unknown family " + family);
   if (family == "aggregation") ds = gen::AggregationLike(seed, n);
@@ -196,8 +227,7 @@ int CmdGen(const Args& args) {
     std::fprintf(stderr, "gen failed: %s\n", ds.status().ToString().c_str());
     return 1;
   }
-  if (args.Has("shards")) {
-    const size_t shards = std::max<size_t>(1, args.GetSize("shards", 1));
+  if (shards > 0) {
     const uint64_t per_shard = (ds->size() + shards - 1) / shards;
     std::string prefix = out;
     if (EndsWith(prefix, ".ddpb")) prefix.resize(prefix.size() - 5);
@@ -222,7 +252,9 @@ int CmdGen(const Args& args) {
 }
 
 int CmdInfo(const Args& args) {
-  if (args.positional().size() != 1) return Usage();
+  if (args.positional().size() != 1 || args.ReportUnread("info")) {
+    return Usage();
+  }
   if (std::filesystem::is_directory(args.positional()[0])) {
     // Sharded dataset: report from headers alone, never loading the points.
     auto reader = ShardedDatasetReader::OpenDirectory(args.positional()[0]);
@@ -269,13 +301,14 @@ int CmdInfo(const Args& args) {
 
 int CmdTune(const Args& args) {
   double dc = args.GetDouble("dc", 0.0);
+  double accuracy = args.GetDouble("accuracy", 0.99);
+  size_t m = args.GetSize("m", 10);
+  size_t pi = args.GetSize("pi", 3);
+  if (args.ReportUnread("tune")) return Usage();
   if (dc <= 0.0) {
     std::fprintf(stderr, "tune requires --dc > 0\n");
     return 2;
   }
-  double accuracy = args.GetDouble("accuracy", 0.99);
-  size_t m = args.GetSize("m", 10);
-  size_t pi = args.GetSize("pi", 3);
   auto w = lsh::SolveMinimalWidth(accuracy, m, pi, dc);
   if (!w.ok()) {
     std::fprintf(stderr, "tune failed: %s\n", w.status().ToString().c_str());
@@ -427,6 +460,16 @@ int CmdCluster(const Args& args, const std::string& self_path) {
   eddpc_params.local_backend = *backend;
   Eddpc eddpc_algo(eddpc_params);
 
+  const std::string stats_out = args.Get("stats-out");
+  const bool internal_metrics = args.Has("internal-metrics");
+  const std::string graph_out = args.Get("graph");
+  const bool flag_halo = args.Has("halo");
+  const std::string out_path = args.Get("out", in_path + ".clustered.csv");
+  if (args.ReportUnread("cluster")) {
+    stop_remote_workers();
+    return Usage();
+  }
+
   Result<DdpRunResult> run = Status::InvalidArgument("unknown algo " +
                                                      algo_name);
   if (algo_name == "lsh") run = RunDistributedDp(&lsh_algo, *ds, options);
@@ -479,21 +522,21 @@ int CmdCluster(const Args& args, const std::string& self_path) {
   if (!run->stats.jobs.empty()) {
     std::printf("%s\n", run->stats.ToString().c_str());
   }
-  if (args.Has("stats-out")) {
-    std::ofstream stats_file(args.Get("stats-out"));
+  if (!stats_out.empty()) {
+    std::ofstream stats_file(stats_out);
     stats_file << run->stats.ToJson() << '\n';
     if (!stats_file) {
       std::fprintf(stderr, "stats write failed: %s\n",
-                   args.Get("stats-out").c_str());
+                   stats_out.c_str());
       return 1;
     }
-    std::printf("job stats -> %s\n", args.Get("stats-out").c_str());
+    std::printf("job stats -> %s\n", stats_out.c_str());
   }
   if (ds->has_labels()) {
     auto ari = eval::AdjustedRandIndex(run->clusters.assignment, ds->labels());
     if (ari.ok()) std::printf("ARI vs input labels: %.4f\n", *ari);
   }
-  if (args.Has("internal-metrics")) {
+  if (internal_metrics) {
     CountingMetric metric;
     eval::SilhouetteOptions sil_opts;
     sil_opts.sample = 2000;  // keep O(sample * N)
@@ -506,14 +549,14 @@ int CmdCluster(const Args& args, const std::string& self_path) {
     if (sse.ok()) std::printf("sum sq. error:    %.6g\n", *sse);
   }
 
-  if (args.Has("graph")) {
+  if (!graph_out.empty()) {
     DecisionGraph graph = DecisionGraph::FromScores(run->scores);
-    std::ofstream(args.Get("graph")) << graph.ToTsv();
-    std::printf("decision graph -> %s\n", args.Get("graph").c_str());
+    std::ofstream(graph_out) << graph.ToTsv();
+    std::printf("decision graph -> %s\n", graph_out.c_str());
   }
 
   std::vector<int> out_labels = run->clusters.assignment;
-  if (args.Has("halo")) {
+  if (flag_halo) {
     CountingMetric metric;
     auto halo = ComputeHalo(*ds, run->scores, run->clusters, run->dc, metric);
     if (!halo.ok()) {
@@ -531,7 +574,6 @@ int CmdCluster(const Args& args, const std::string& self_path) {
     std::printf("halo points: %zu\n", count);
   }
 
-  std::string out_path = args.Get("out", in_path + ".clustered.csv");
   Dataset labeled =
       std::move(Dataset::FromValues(ds->dim(), ds->values())).ValueOrDie();
   labeled.set_labels(out_labels);
